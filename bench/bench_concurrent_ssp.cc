@@ -35,6 +35,7 @@ namespace {
 using sharoes::Bytes;
 using sharoes::fs::InodeNum;
 using sharoes::ssp::ObjectStore;
+using sharoes::ssp::ObjectKey;
 using sharoes::ssp::Request;
 using sharoes::ssp::SspServer;
 
@@ -49,26 +50,44 @@ void StoreWorker(ObjectStore& store, int t, const Bytes& payload) {
   for (int i = 0; i < kOpsPerThread; ++i) {
     InodeNum inode = base + static_cast<InodeNum>(i % kKeysPerThread);
     if (i % 2 == 0) {
-      store.PutData(inode, 0, payload);
+      store.Put(ObjectKey::Data(inode, 0), payload);
     } else {
-      benchmark::DoNotOptimize(store.GetData(inode, 0));
+      benchmark::DoNotOptimize(store.Get(ObjectKey::Data(inode, 0)));
     }
     if (i % 16 == 0) {
-      benchmark::DoNotOptimize(store.GetMetadata(1, 0));  // Shared hot key.
+      // The shared hot key.
+      benchmark::DoNotOptimize(store.Get(ObjectKey::Metadata(1, 0)));
     }
   }
 }
 
-void RunThreadPack(int threads, const std::function<void(int)>& body) {
-  std::barrier start(threads);
+// Runs `body(t)` on `threads` workers once per timed iteration. The
+// workers are spawned before the timed loop and joined after it; each
+// iteration only releases them through a barrier and waits for all of
+// them, so thread creation stays out of the measurement.
+void RunTimedPack(benchmark::State& state, int threads,
+                  const std::function<void(int)>& body) {
+  std::barrier start(threads + 1);
+  std::barrier done(threads + 1);
+  bool stop = false;  // Written before `start`, read after it.
   std::vector<std::thread> pack;
   pack.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     pack.emplace_back([&, t] {
-      start.arrive_and_wait();
-      body(t);
+      while (true) {
+        start.arrive_and_wait();
+        if (stop) return;
+        body(t);
+        done.arrive_and_wait();
+      }
     });
   }
+  for (auto _ : state) {
+    start.arrive_and_wait();
+    done.arrive_and_wait();
+  }
+  stop = true;
+  start.arrive_and_wait();
   for (std::thread& th : pack) th.join();
 }
 
@@ -78,12 +97,12 @@ void BM_StoreMixedOps(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const size_t shards = static_cast<size_t>(state.range(1));
   const Bytes payload(256, 0xAB);
-  for (auto _ : state) {
-    ObjectStore store(shards);
-    store.PutMetadata(1, 0, payload);  // The shared hot key.
-    RunThreadPack(threads,
-                  [&](int t) { StoreWorker(store, t, payload); });
-  }
+  // Built once, outside the timed loop: iterations measure the op mix,
+  // not store construction.
+  ObjectStore store(shards);
+  store.Put(ObjectKey::Metadata(1, 0), payload);  // The shared hot key.
+  RunTimedPack(state, threads,
+               [&](int t) { StoreWorker(store, t, payload); });
   const int64_t total_ops =
       state.iterations() * threads * static_cast<int64_t>(kOpsPerThread);
   state.SetItemsProcessed(total_ops);
@@ -103,19 +122,18 @@ void BM_ServerHandleWire(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const size_t shards = static_cast<size_t>(state.range(1));
   const Bytes payload(256, 0xCD);
-  for (auto _ : state) {
-    SspServer server{ObjectStore(shards)};
-    RunThreadPack(threads, [&](int t) {
-      const InodeNum base = static_cast<InodeNum>(t + 1) * 1'000'000;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        InodeNum inode = base + static_cast<InodeNum>(i % kKeysPerThread);
-        Bytes wire = (i % 2 == 0)
-                         ? Request::PutData(inode, 0, payload).Serialize()
-                         : Request::GetData(inode, 0).Serialize();
-        benchmark::DoNotOptimize(server.HandleWire(wire));
-      }
-    });
-  }
+  SspServer server{ObjectStore(shards)};
+  RunTimedPack(state, threads, [&](int t) {
+    const InodeNum base = static_cast<InodeNum>(t + 1) * 1'000'000;
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      InodeNum inode = base + static_cast<InodeNum>(i % kKeysPerThread);
+      Bytes wire =
+          (i % 2 == 0)
+              ? Request::Put(ObjectKey::Data(inode, 0), payload).Serialize()
+              : Request::Get(ObjectKey::Data(inode, 0)).Serialize();
+      benchmark::DoNotOptimize(server.HandleWire(wire));
+    }
+  });
   const int64_t total_ops =
       state.iterations() * threads * static_cast<int64_t>(kOpsPerThread);
   state.SetItemsProcessed(total_ops);

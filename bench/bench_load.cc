@@ -637,13 +637,15 @@ int Run(const Options& opt) {
     } else {
       for (uint64_t k = 0; k < kDeleteProbeKeys; ++k) {
         const uint64_t inode = kDeleteProbeBase + k;
-        auto put = probe->Call(ssp::Request::PutData(
-            inode, 0, PatternBytes(64, static_cast<uint32_t>(k))));
+        auto put = probe->Call(ssp::Request::Put(
+            ssp::ObjectKey::Data(inode, 0),
+            PatternBytes(64, static_cast<uint32_t>(k))));
         if (!put.ok() || put->status != ssp::RespStatus::kOk) {
           probe_errors += 1;
           continue;
         }
-        auto del = probe->Call(ssp::Request::DeleteData(inode, 0));
+        auto del = probe->Call(ssp::Request::Delete(ssp::ObjectKey::Data(
+            inode, 0)));
         if (!del.ok() || del->status != ssp::RespStatus::kOk) {
           probe_errors += 1;
         }

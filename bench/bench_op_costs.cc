@@ -70,25 +70,25 @@ std::vector<Bytes> AndrewWireMix() {
   Bytes meta(256, 0x17);
   std::vector<ssp::Request> mix;
   for (int i = 0; i < 3; ++i) {  // Phase 1: mkdir skeleton.
-    mix.push_back(ssp::Request::PutMetadata(10 + i, 0, meta));
+    mix.push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(10 + i, 0), meta));
   }
   for (int i = 0; i < 5; ++i) {  // Phase 2: copy sources in.
     mix.push_back(ssp::Request::Batch(
-        {ssp::Request::PutMetadata(20 + i, 0, meta),
-         ssp::Request::PutData(20 + i, 0, block)}));
+        {ssp::Request::Put(ssp::ObjectKey::Metadata(20 + i, 0), meta),
+         ssp::Request::Put(ssp::ObjectKey::Data(20 + i, 0), block)}));
   }
   for (int i = 0; i < 5; ++i) {  // Phase 3: stat everything.
-    mix.push_back(ssp::Request::GetMetadata(20 + i, 0));
+    mix.push_back(ssp::Request::Get(ssp::ObjectKey::Metadata(20 + i, 0)));
   }
   for (int i = 0; i < 5; ++i) {  // Phase 4: cold reads.
-    mix.push_back(ssp::Request::GetData(20 + i, 0));
+    mix.push_back(ssp::Request::Get(ssp::ObjectKey::Data(20 + i, 0)));
   }
   for (int i = 0; i < 5; ++i) {  // Phase 5: compile + link.
-    mix.push_back(ssp::Request::GetData(20 + i, 0));
+    mix.push_back(ssp::Request::Get(ssp::ObjectKey::Data(20 + i, 0)));
     mix.push_back(ssp::Request::Batch(
-        {ssp::Request::PutMetadata(30 + i, 0, meta),
-         ssp::Request::PutData(30 + i, 0, block)}));
-    mix.push_back(ssp::Request::GetData(30 + i, 0));
+        {ssp::Request::Put(ssp::ObjectKey::Metadata(30 + i, 0), meta),
+         ssp::Request::Put(ssp::ObjectKey::Data(30 + i, 0), block)}));
+    mix.push_back(ssp::Request::Get(ssp::ObjectKey::Data(30 + i, 0)));
   }
   std::vector<Bytes> frames;
   frames.reserve(mix.size());
@@ -344,8 +344,8 @@ void RunGroupCommit() {
     writers.emplace_back([&, w] {
       Bytes block(512, static_cast<uint8_t>(w));
       for (int i = 0; i < kOpsPerWriter; ++i) {
-        ssp::Response resp = server.Handle(ssp::Request::PutData(
-            1000 + w, static_cast<uint32_t>(i), block));
+        ssp::Response resp = server.Handle(ssp::Request::Put(
+            ssp::ObjectKey::Data(1000 + w, static_cast<uint32_t>(i)), block));
         if (resp.status == ssp::RespStatus::kOk) {
           acked.fetch_add(1, std::memory_order_relaxed);
         }

@@ -41,8 +41,8 @@ void Run() {
           r.create.total_ms() / (params.dirs * (1 + params.files_per_dir));
 
       ssp::StorageStats stats = world.server().store().Stats();
-      uint64_t md_bytes = stats.metadata_bytes + stats.user_metadata_bytes +
-                          stats.superblock_bytes + stats.group_key_bytes;
+      uint64_t md_bytes =
+          stats.total_bytes() - stats.bytes(ssp::ObjectFamily::kData);
       double objects = params.dirs * (1.0 + params.files_per_dir) + 2;
       double bytes_per_file_per_user =
           static_cast<double>(md_bytes) / objects / static_cast<double>(users);

@@ -131,7 +131,7 @@ int main() {
   bool leaked = false;
   for (fs::InodeNum inode = 1; inode < 200; ++inode) {
     for (uint32_t blk = 0; blk < 8; ++blk) {
-      auto blob = ssp_server.store().GetData(inode, blk);
+      auto blob = ssp_server.store().Get(ssp::ObjectKey::Data(inode, blk));
       if (blob.has_value() && BlobContains(*blob, probe)) leaked = true;
     }
   }
@@ -142,7 +142,7 @@ int main() {
   // --- Audit 3: tamper detection. ---
   auto attrs = admin.Getattr("/file0.dat");
   Check(attrs.status(), "stat probe file");
-  ssp_server.store().CorruptData(attrs->inode, 0, 17);
+  ssp_server.store().Corrupt(ssp::ObjectKey::Data(attrs->inode, 0), 17);
   admin.DropCaches();
   auto tampered = admin.Read("/file0.dat");
   std::printf("Audit 3: SSP flips one byte of /file0.dat; client read -> "
@@ -155,11 +155,12 @@ int main() {
   ssp::StorageStats s2 = ssp_server.store().Stats();
   std::printf("  Scheme-2 (per-CAP replicas): metadata %llu B, data %llu B"
               ", split blocks %llu B\n",
-              static_cast<unsigned long long>(s2.metadata_bytes),
-              static_cast<unsigned long long>(s2.user_metadata_bytes +
-                                              s2.metadata_bytes) -
-                  static_cast<unsigned long long>(s2.metadata_bytes),
-              static_cast<unsigned long long>(s2.user_metadata_bytes));
+              static_cast<unsigned long long>(
+                  s2.bytes(ssp::ObjectFamily::kMetadata)),
+              static_cast<unsigned long long>(
+                  s2.bytes(ssp::ObjectFamily::kData)),
+              static_cast<unsigned long long>(
+                  s2.bytes(ssp::ObjectFamily::kUserMetadata)));
   std::printf("  (see bench_schemes for the full Scheme-1 vs Scheme-2 "
               "cost sweep)\n");
 

@@ -62,17 +62,20 @@ Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
   switch (options_.mode) {
     case SecurityMode::kNoEncMdD:
     case SecurityMode::kNoEncMd:
-      server_->store().PutMetadata(inode, 0, std::move(plain));
+      server_->store().Put(ssp::ObjectKey::Metadata(inode, 0),
+                           std::move(plain));
       return Status::OK();
     case SecurityMode::kPubOpt: {
       crypto::SymmetricKey k = engine_->NewSymmetricKey();
-      server_->store().PutMetadata(inode, 0, engine_->SymEncrypt(k, plain));
+      server_->store().Put(ssp::ObjectKey::Metadata(inode, 0),
+                           engine_->SymEncrypt(k, plain));
       for (fs::UserId uid : identity_->AllUsers()) {
         SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
                                  engine_->PkEncrypt(user.public_key, k.key));
-        server_->store().PutUserMetadata(inode, uid, std::move(wrapped));
+        server_->store().Put(ssp::ObjectKey::UserMetadata(inode, uid),
+                             std::move(wrapped));
       }
       return Status::OK();
     }
@@ -82,7 +85,8 @@ Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes enc,
                                  engine_->PkEncrypt(user.public_key, plain));
-        server_->store().PutUserMetadata(inode, uid, std::move(enc));
+        server_->store().Put(ssp::ObjectKey::UserMetadata(inode, uid),
+                             std::move(enc));
       }
       return Status::OK();
     }
@@ -95,10 +99,10 @@ Status BaselineProvisioner::StoreTable(fs::InodeNum inode,
                                        const Bytes& dek) {
   Bytes plain = table.Serialize();
   if (options_.mode == SecurityMode::kNoEncMdD) {
-    server_->store().PutData(inode, 0, std::move(plain));
+    server_->store().Put(ssp::ObjectKey::Data(inode, 0), std::move(plain));
   } else {
-    server_->store().PutData(
-        inode, 0, engine_->SymEncrypt(crypto::SymmetricKey{dek}, plain));
+    server_->store().Put(ssp::ObjectKey::Data(inode, 0),
+                         engine_->SymEncrypt(crypto::SymmetricKey{dek}, plain));
   }
   return Status::OK();
 }
@@ -147,7 +151,7 @@ Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
     if (options_.mode != SecurityMode::kNoEncMdD) {
       b0 = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, b0);
     }
-    server_->store().PutData(inode, 1, std::move(b0));
+    server_->store().Put(ssp::ObjectKey::Data(inode, 1), std::move(b0));
     uint32_t idx = 2;
     for (size_t pos = chunk0; pos < content.size(); pos += bs, ++idx) {
       size_t n = std::min(bs, content.size() - pos);
@@ -155,7 +159,7 @@ Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
       if (options_.mode != SecurityMode::kNoEncMdD) {
         chunk = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, chunk);
       }
-      server_->store().PutData(inode, idx, std::move(chunk));
+      server_->store().Put(ssp::ObjectKey::Data(inode, idx), std::move(chunk));
     }
   }
   return StoreRecord(rec);
@@ -169,7 +173,8 @@ Status BaselineProvisioner::Migrate(const core::LocalNode& root) {
   SHAROES_RETURN_IF_ERROR(MigrateNode(root, fs::kRootInode));
   fs::Superblock sb;
   sb.root_inode = fs::kRootInode;
-  server_->store().PutSuperblock(kSuperblockSlot, sb.Serialize());
+  server_->store().Put(ssp::ObjectKey::Superblock(kSuperblockSlot),
+                       sb.Serialize());
   return Status::OK();
 }
 
@@ -224,7 +229,8 @@ Status BaselineClient::Mount() {
   ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
-      conn_->Call(ssp::Request::GetSuperblock(kSuperblockSlot)));
+      conn_->Call(ssp::Request::Get(ssp::ObjectKey::Superblock(
+          kSuperblockSlot))));
   if (!resp.ok()) return Status::NotFound("no superblock");
   SHAROES_ASSIGN_OR_RETURN(fs::Superblock sb,
                            fs::Superblock::Deserialize(resp.payload));
@@ -241,7 +247,7 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
     case SecurityMode::kNoEncMd: {
       SHAROES_ASSIGN_OR_RETURN(
           ssp::Response resp,
-          conn_->Call(ssp::Request::GetMetadata(inode, 0)));
+          conn_->Call(ssp::Request::Get(ssp::ObjectKey::Metadata(inode, 0))));
       if (!resp.ok()) return Status::NotFound("metadata not at SSP");
       SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec,
                                BaselineRecord::Deserialize(resp.payload));
@@ -251,8 +257,9 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
     case SecurityMode::kPubOpt: {
       // One round trip fetches the sealed record and our wrapped key.
       std::vector<ssp::Request> reqs;
-      reqs.push_back(ssp::Request::GetMetadata(inode, 0));
-      reqs.push_back(ssp::Request::GetUserMetadata(inode, uid_));
+      reqs.push_back(ssp::Request::Get(ssp::ObjectKey::Metadata(inode, 0)));
+      reqs.push_back(ssp::Request::Get(ssp::ObjectKey::UserMetadata(inode,
+                                                                    uid_)));
       SHAROES_ASSIGN_OR_RETURN(
           ssp::Response resp,
           conn_->Call(ssp::Request::Batch(std::move(reqs))));
@@ -275,7 +282,8 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
     case SecurityMode::kPublic: {
       SHAROES_ASSIGN_OR_RETURN(
           ssp::Response resp,
-          conn_->Call(ssp::Request::GetUserMetadata(inode, uid_)));
+          conn_->Call(ssp::Request::Get(ssp::ObjectKey::UserMetadata(inode,
+                                                                     uid_))));
       if (!resp.ok()) return Status::NotFound("metadata copy not at SSP");
       SHAROES_ASSIGN_OR_RETURN(Bytes plain,
                                engine_->PkDecrypt(user_priv_, resp.payload));
@@ -293,7 +301,7 @@ Result<fs::DirTable> BaselineClient::FetchTable(const BaselineRecord& dir) {
   if (auto cached = cache_.Get<fs::DirTable>(key)) return *cached;
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
-      conn_->Call(ssp::Request::GetData(dir.attrs.inode, 0)));
+      conn_->Call(ssp::Request::Get(ssp::ObjectKey::Data(dir.attrs.inode, 0))));
   if (!resp.ok()) return Status::NotFound("dir table not at SSP");
   Bytes plain = resp.payload;
   if (options_.mode != SecurityMode::kNoEncMdD) {
@@ -358,19 +366,20 @@ Status BaselineClient::EncodeRecordPuts(const BaselineRecord& record,
   switch (options_.mode) {
     case SecurityMode::kNoEncMdD:
     case SecurityMode::kNoEncMd:
-      out->push_back(ssp::Request::PutMetadata(inode, 0, std::move(plain)));
+      out->push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(inode, 0),
+                                       std::move(plain)));
       return Status::OK();
     case SecurityMode::kPubOpt: {
       crypto::SymmetricKey k = engine_->NewSymmetricKey();
-      out->push_back(ssp::Request::PutMetadata(
-          inode, 0, engine_->SymEncrypt(k, plain)));
+      out->push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(inode, 0),
+                                       engine_->SymEncrypt(k, plain)));
       for (fs::UserId uid : identity_->AllUsers()) {
         SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
                                  engine_->PkEncrypt(user.public_key, k.key));
-        out->push_back(
-            ssp::Request::PutUserMetadata(inode, uid, std::move(wrapped)));
+        out->push_back(ssp::Request::Put(
+            ssp::ObjectKey::UserMetadata(inode, uid), std::move(wrapped)));
       }
       return Status::OK();
     }
@@ -380,8 +389,8 @@ Status BaselineClient::EncodeRecordPuts(const BaselineRecord& record,
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes enc,
                                  engine_->PkEncrypt(user.public_key, plain));
-        out->push_back(
-            ssp::Request::PutUserMetadata(inode, uid, std::move(enc)));
+        out->push_back(ssp::Request::Put(
+            ssp::ObjectKey::UserMetadata(inode, uid), std::move(enc)));
       }
       return Status::OK();
     }
@@ -446,8 +455,8 @@ Status BaselineClient::CreateObject(const std::string& path,
   SHAROES_RETURN_IF_ERROR(EncodeRecordPuts(rec, &batch1));
   if (type == fs::FileType::kDirectory) {
     fs::DirTable empty;
-    batch1.push_back(ssp::Request::PutData(rec.attrs.inode, 0,
-                                           EncodeTable(rec, empty)));
+    batch1.push_back(ssp::Request::Put(ssp::ObjectKey::Data(rec.attrs.inode, 0),
+                                       EncodeTable(rec, empty)));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
 
@@ -456,8 +465,8 @@ Status BaselineClient::CreateObject(const std::string& path,
   std::vector<ssp::Request> batch2;
   Bytes table_wire = EncodeTable(parent, table);
   size_t table_size = table_wire.size();
-  batch2.push_back(ssp::Request::PutData(parent.attrs.inode, 0,
-                                         std::move(table_wire)));
+  batch2.push_back(ssp::Request::Put(
+      ssp::ObjectKey::Data(parent.attrs.inode, 0), std::move(table_wire)));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
   // Keep what we just wrote in cache (the client has it all in memory).
   cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
@@ -493,8 +502,9 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
   if (auto cached = cache_.Get<Bytes>(key0)) {
     plain0 = *cached;
   } else {
-    SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                             conn_->Call(ssp::Request::GetData(inode, 1)));
+    SHAROES_ASSIGN_OR_RETURN(
+        ssp::Response resp,
+        conn_->Call(ssp::Request::Get(ssp::ObjectKey::Data(inode, 1))));
     if (!resp.ok()) return Bytes{};  // Never written.
     SHAROES_ASSIGN_OR_RETURN(plain0, decode(resp.payload));
     cache_.Put(key0, plain0, resp.payload.size());
@@ -515,7 +525,7 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
         continue;
       }
       missing.push_back(i);
-      gets.push_back(ssp::Request::GetData(inode, i + 1));
+      gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(inode, i + 1)));
     }
     if (!gets.empty()) {
       SHAROES_ASSIGN_OR_RETURN(
@@ -603,7 +613,8 @@ Status BaselineClient::FlushBuffer(WriteBuffer* buf,
                     ? plain0
                     : engine_->SymEncrypt(dek, plain0);
   cache_.Put("d|" + std::to_string(buf->inode) + "|1", plain0, wire0.size());
-  puts.push_back(ssp::Request::PutData(buf->inode, 1, std::move(wire0)));
+  puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(buf->inode, 1),
+                                   std::move(wire0)));
   uint32_t idx = 2;
   for (size_t pos = chunk0; pos < content.size(); pos += bs, ++idx) {
     size_t n = std::min(bs, content.size() - pos);
@@ -613,7 +624,8 @@ Status BaselineClient::FlushBuffer(WriteBuffer* buf,
                      : engine_->SymEncrypt(dek, chunk);
     cache_.Put("d|" + std::to_string(buf->inode) + "|" + std::to_string(idx),
                chunk, wire.size());
-    puts.push_back(ssp::Request::PutData(buf->inode, idx, std::move(wire)));
+    puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(buf->inode, idx),
+                                     std::move(wire)));
   }
   return ExecuteBatch(std::move(puts));
 }
@@ -679,16 +691,14 @@ Status BaselineClient::RemoveObject(const std::string& path,
   std::vector<ssp::Request> batch;
   Bytes table_wire = EncodeTable(parent, table);
   size_t table_size = table_wire.size();
-  batch.push_back(ssp::Request::PutData(parent.attrs.inode, 0,
-                                        std::move(table_wire)));
-  batch.push_back(ssp::Request::DeleteInodeMetadata(*child));
-  batch.push_back(ssp::Request::DeleteInodeData(*child));
+  batch.push_back(ssp::Request::Put(ssp::ObjectKey::Data(parent.attrs.inode, 0),
+                                    std::move(table_wire)));
+  batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kMetadata,
+                                            *child));
+  batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData, *child));
   for (fs::UserId uid : identity_->AllUsers()) {
-    ssp::Request del;
-    del.op = ssp::OpCode::kDeleteUserMetadata;
-    del.inode = *child;
-    del.user = uid;
-    batch.push_back(del);
+    batch.push_back(ssp::Request::Delete(
+        ssp::ObjectKey::UserMetadata(*child, uid)));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
@@ -725,8 +735,8 @@ Status BaselineClient::Rename(const std::string& from,
     SHAROES_RETURN_IF_ERROR(src_table.Add(dst.name, *child));
     Bytes wire = EncodeTable(src_parent, src_table);
     size_t size = wire.size();
-    batch.push_back(
-        ssp::Request::PutData(src_parent.attrs.inode, 0, std::move(wire)));
+    batch.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Data(src_parent.attrs.inode, 0), std::move(wire)));
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
     cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
                size);
@@ -748,10 +758,10 @@ Status BaselineClient::Rename(const std::string& from,
     Bytes src_wire = EncodeTable(src_parent, src_table);
     Bytes dst_wire = EncodeTable(dst_parent, dst_table);
     size_t src_size = src_wire.size(), dst_size = dst_wire.size();
-    batch.push_back(ssp::Request::PutData(src_parent.attrs.inode, 0,
-                                          std::move(src_wire)));
-    batch.push_back(ssp::Request::PutData(dst_parent.attrs.inode, 0,
-                                          std::move(dst_wire)));
+    batch.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Data(src_parent.attrs.inode, 0), std::move(src_wire)));
+    batch.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Data(dst_parent.attrs.inode, 0), std::move(dst_wire)));
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
     cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
                src_size);

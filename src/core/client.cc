@@ -223,8 +223,9 @@ Status SharoesClient::Mount() {
   }
   principal_ = identity_->PrincipalOf(uid_);
   ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                           Rpc(ssp::Request::GetSuperblock(uid_)));
+  SHAROES_ASSIGN_OR_RETURN(
+      ssp::Response resp,
+      Rpc(ssp::Request::Get(ssp::ObjectKey::Superblock(uid_))));
   if (!resp.ok()) {
     return Status::NotFound("no superblock for user " + std::to_string(uid_));
   }
@@ -249,7 +250,8 @@ Result<MetadataView> SharoesClient::FetchView(const PlainRef& ref) {
   if (auto cached = cache_.Get<MetadataView>(key)) return *cached;
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
-      Rpc(ssp::Request::GetMetadata(ref.inode, ref.selector)));
+      Rpc(ssp::Request::Get(ssp::ObjectKey::Metadata(ref.inode,
+                                                     ref.selector))));
   if (!resp.ok()) {
     return Status::NotFound("metadata " + std::to_string(ref.inode) +
                             " replica " + std::to_string(ref.selector) +
@@ -386,14 +388,15 @@ Result<SharoesClient::Node> SharoesClient::FetchNodeBatched(
   }
   std::vector<ssp::Request> gets;
   if (fetch_view) {
-    gets.push_back(ssp::Request::GetMetadata(ref.inode, ref.selector));
+    gets.push_back(ssp::Request::Get(ssp::ObjectKey::Metadata(ref.inode,
+                                                              ref.selector)));
   }
   if (fetch_table) {
-    gets.push_back(ssp::Request::GetMetadata(ref.inode,
-                                             TableSelector(ref.selector)));
+    gets.push_back(ssp::Request::Get(ssp::ObjectKey::Metadata(
+        ref.inode, TableSelector(ref.selector))));
   }
   for (uint32_t b : data_blocks) {
-    gets.push_back(ssp::Request::GetData(ref.inode, b));
+    gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(ref.inode, b)));
   }
   SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                            MultiGet(std::move(gets)));
@@ -447,8 +450,8 @@ Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
   if (auto cached = cache_.Get<DecodedTable>(key)) return cached;
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
-      Rpc(ssp::Request::GetMetadata(
-          dir.ref.inode, TableSelector(dir.ref.selector))));
+      Rpc(ssp::Request::Get(ssp::ObjectKey::Metadata(
+          dir.ref.inode, TableSelector(dir.ref.selector)))));
   if (!resp.ok()) return Status::NotFound("table copy not at SSP");
   SHAROES_ASSIGN_OR_RETURN(
       DecodedTable table,
@@ -462,8 +465,9 @@ Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
 Result<GroupSecret> SharoesClient::FetchGroupSecret(fs::GroupId gid) {
   auto it = group_secrets_.find(gid);
   if (it != group_secrets_.end()) return it->second;
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                           Rpc(ssp::Request::GetGroupKey(gid, uid_)));
+  SHAROES_ASSIGN_OR_RETURN(
+      ssp::Response resp,
+      Rpc(ssp::Request::Get(ssp::ObjectKey::GroupKey(gid, uid_))));
   if (!resp.ok()) {
     return Status::PermissionDenied("no group key block for group " +
                                     std::to_string(gid) + " user " +
@@ -490,7 +494,7 @@ Result<PlainRef> SharoesClient::ResolveRowRef(const RowRef& row) {
   }
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
-      Rpc(ssp::Request::GetUserMetadata(row.inode, uid_)));
+      Rpc(ssp::Request::Get(ssp::ObjectKey::UserMetadata(row.inode, uid_))));
   if (resp.ok()) {
     SHAROES_ASSIGN_OR_RETURN(
         PlainRef ref, codec_.DecodeUserRefBlock(user_priv_, resp.payload));
@@ -500,8 +504,8 @@ Result<PlainRef> SharoesClient::ResolveRowRef(const RowRef& row) {
   if (row.has_group_block && principal_.MemberOf(row.gid)) {
     SHAROES_ASSIGN_OR_RETURN(
         ssp::Response gresp,
-        Rpc(ssp::Request::GetUserMetadata(row.inode,
-                                          GroupBlockKey(row.gid))));
+        Rpc(ssp::Request::Get(ssp::ObjectKey::UserMetadata(
+            row.inode, GroupBlockKey(row.gid)))));
     if (!gresp.ok()) return Status::NotFound("group split block missing");
     SHAROES_ASSIGN_OR_RETURN(GroupSecret secret, FetchGroupSecret(row.gid));
     SHAROES_ASSIGN_OR_RETURN(
@@ -736,8 +740,8 @@ Result<MasterTable> SharoesClient::FetchMaster(const Node& dir,
   if (auto cached = cache_.Get<MasterTable>(key)) return *cached;
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
-      Rpc(ssp::Request::GetMetadata(dir.ref.inode,
-                                    TableSelector(kMasterSelector))));
+      Rpc(ssp::Request::Get(ssp::ObjectKey::Metadata(
+          dir.ref.inode, TableSelector(kMasterSelector)))));
   if (!resp.ok()) return Status::NotFound("master table not at SSP");
   SHAROES_ASSIGN_OR_RETURN(
       MasterTable master,
@@ -788,15 +792,18 @@ Status SharoesClient::RenderDirTables(const WriterDirContext& ctx,
       my_universe = universe;
       my_copy_full = view == TableView::kFull;
     }
-    out->push_back(ssp::Request::PutMetadata(
-        ctx.node.ref.inode, TableSelector(spec.selector), std::move(wire)));
+    out->push_back(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(ctx.node.ref.inode,
+                                 TableSelector(spec.selector)),
+        std::move(wire)));
   }
-  out->push_back(ssp::Request::PutMetadata(
-      ctx.node.ref.inode, TableSelector(kMasterSelector),
+  out->push_back(ssp::Request::Put(
+      ssp::ObjectKey::Metadata(ctx.node.ref.inode,
+                               TableSelector(kMasterSelector)),
       codec_.EncodeMasterTable(ctx.node.ref.inode, ctx.master, ctx.bundle)));
   for (PendingSplitBlock& b : blocks) {
-    out->push_back(
-        ssp::Request::PutUserMetadata(b.child_inode, b.id, std::move(b.wire)));
+    out->push_back(ssp::Request::Put(
+        ssp::ObjectKey::UserMetadata(b.child_inode, b.id), std::move(b.wire)));
   }
   // Refresh our cached view of this directory: stale copies out, the
   // updated master and our own freshly rendered copy in (the paper's
@@ -852,8 +859,8 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
   // empty table copies) — the paper's "metadata send".
   std::vector<ssp::Request> batch1;
   for (const ReplicaSpec& spec : specs) {
-    batch1.push_back(ssp::Request::PutMetadata(
-        attrs.inode, spec.selector,
+    batch1.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(attrs.inode, spec.selector),
         codec_.EncodeMetadataReplica(spec, attrs, bundle)));
   }
   if (type == fs::FileType::kDirectory) {
@@ -867,11 +874,12 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
                           attrs.inode, spec.selector,
                           spec.Fields(type).table_view, empty, universe,
                           bundle, &blocks));
-      batch1.push_back(ssp::Request::PutMetadata(
-          attrs.inode, TableSelector(spec.selector), std::move(wire)));
+      batch1.push_back(ssp::Request::Put(
+          ssp::ObjectKey::Metadata(attrs.inode, TableSelector(spec.selector)),
+          std::move(wire)));
     }
-    batch1.push_back(ssp::Request::PutMetadata(
-        attrs.inode, TableSelector(kMasterSelector),
+    batch1.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(attrs.inode, TableSelector(kMasterSelector)),
         codec_.EncodeMasterTable(attrs.inode, empty, bundle)));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
@@ -956,7 +964,9 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     }
     std::vector<ssp::Request> gets;
     gets.reserve(window.size());
-    for (uint32_t b : window) gets.push_back(ssp::Request::GetData(inode, b));
+    for (uint32_t b : window) {
+      gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(inode, b)));
+    }
     SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                              MultiGet(std::move(gets)));
     const ssp::Response& r0 = resps[0];
@@ -1038,7 +1048,8 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
       std::vector<ssp::Request> gets;
       gets.reserve(end - pos);
       for (size_t j = pos; j < end; ++j) {
-        gets.push_back(ssp::Request::GetData(inode, missing[j]));
+        gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(inode,
+                                                              missing[j])));
       }
       SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                                MultiGet(std::move(gets)));
@@ -1215,7 +1226,10 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   if (!diff || desc.block_count != old_desc.block_count) {
     // Shape changed (or no diff basis): clear stale blocks first when
     // shrinking; growth needs no delete.
-    if (!diff) puts.push_back(ssp::Request::DeleteInodeData(inode));
+    if (!diff) {
+      puts.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData,
+                                               inode));
+    }
   }
   // Tail blocks encode first: their AEAD tags are the Merkle leaves the
   // descriptor inside block 0 must commit to.
@@ -1242,11 +1256,12 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   Bytes wire0 = codec_.EncodeDataBlock(inode, 0, header0, plain0, dek,
                                        *node.view.dsk);
   cache_.Put(DataCacheKey(inode, 0), plain0, wire0.size());
-  puts.push_back(ssp::Request::PutData(inode, 0, std::move(wire0)));
+  puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(inode, 0),
+                                   std::move(wire0)));
   for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
     if (changed[idx]) {
-      puts.push_back(
-          ssp::Request::PutData(inode, idx, std::move(tail_wires[idx])));
+      puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(inode, idx),
+                                       std::move(tail_wires[idx])));
     }
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(puts)));
@@ -1259,8 +1274,9 @@ Result<uint64_t> SharoesClient::NextWriteGen(fs::InodeNum inode) {
   if (it != freshness_.end()) return it->second.write_gen + 1;
   // Unknown history (overwrite of a never-read file): peek the stored
   // header so generations stay monotonic for other clients.
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                           Rpc(ssp::Request::GetData(inode, 0)));
+  SHAROES_ASSIGN_OR_RETURN(
+      ssp::Response resp,
+      Rpc(ssp::Request::Get(ssp::ObjectKey::Data(inode, 0))));
   if (resp.status == ssp::RespStatus::kNotFound) return 1;  // Never written.
   if (!resp.ok()) {
     // A transient failure must not be mistaken for "never written":
@@ -1384,17 +1400,18 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
       desc.tag_root = crypto::MerkleRoot(tail_tags);
       freshness_[attrs.inode] =
           FreshnessRecord{desc.write_gen, desc.tag_root};
-      batch.push_back(ssp::Request::DeleteInodeData(attrs.inode));
+      batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData,
+                                                attrs.inode));
       BinaryWriter w0;
       desc.AppendTo(&w0);
       w0.PutRaw(content.data(), chunk0);
-      batch.push_back(ssp::Request::PutData(
-          attrs.inode, 0,
-          codec_.EncodeDataBlock(attrs.inode, 0, header, w0.Take(),
-                                 bundle.dek, bundle.data.sign)));
+      batch.push_back(ssp::Request::Put(
+          ssp::ObjectKey::Data(attrs.inode, 0),
+          codec_.EncodeDataBlock(attrs.inode, 0, header, w0.Take(), bundle.dek,
+                                 bundle.data.sign)));
       for (size_t i = 0; i < tail_wires.size(); ++i) {
-        batch.push_back(ssp::Request::PutData(
-            attrs.inode, static_cast<uint32_t>(i) + 1,
+        batch.push_back(ssp::Request::Put(
+            ssp::ObjectKey::Data(attrs.inode, static_cast<uint32_t>(i) + 1),
             std::move(tail_wires[i])));
       }
     } else if (!dek_next.has_value()) {
@@ -1414,8 +1431,8 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
   // Rebuild every metadata replica with the new mode (selectors and MEKs
   // are class-stable, so parent rows and superblocks stay valid).
   for (const ReplicaSpec& spec : new_specs) {
-    batch.push_back(ssp::Request::PutMetadata(
-        attrs.inode, spec.selector,
+    batch.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(attrs.inode, spec.selector),
         codec_.EncodeMetadataReplica(spec, new_attrs, bundle, dek_gen,
                                      dek_next)));
   }
@@ -1466,22 +1483,18 @@ Status SharoesClient::RemoveObject(const std::string& path,
   SHAROES_RETURN_IF_ERROR(ctx.master.Remove(sp.name));
   std::vector<ssp::Request> batch;
   SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch));
-  batch.push_back(ssp::Request::DeleteInodeMetadata(child_inode));
-  batch.push_back(ssp::Request::DeleteInodeData(child_inode));
+  batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kMetadata,
+                                            child_inode));
+  batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData,
+                                            child_inode));
   // Remove any split blocks of the child.
   for (fs::UserId uid : identity_->AllUsers()) {
-    ssp::Request del;
-    del.op = ssp::OpCode::kDeleteUserMetadata;
-    del.inode = child_inode;
-    del.user = uid;
-    batch.push_back(del);
+    batch.push_back(ssp::Request::Delete(
+        ssp::ObjectKey::UserMetadata(child_inode, uid)));
   }
   for (fs::GroupId gid : identity_->AllGroups()) {
-    ssp::Request del;
-    del.op = ssp::OpCode::kDeleteUserMetadata;
-    del.inode = child_inode;
-    del.user = GroupBlockKey(gid);
-    batch.push_back(del);
+    batch.push_back(ssp::Request::Delete(
+        ssp::ObjectKey::UserMetadata(child_inode, GroupBlockKey(gid))));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   InvalidateInode(child_inode);

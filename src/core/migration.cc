@@ -1,6 +1,7 @@
 #include "core/migration.h"
 
 #include "crypto/merkle.h"
+#include "ssp/wal.h"
 
 namespace sharoes::core {
 
@@ -41,8 +42,8 @@ Result<crypto::RsaKeyPair> Provisioner::CreateGroup(
     SHAROES_ASSIGN_OR_RETURN(UserInfo user, identity_->GetUser(uid));
     SHAROES_ASSIGN_OR_RETURN(
         Bytes block, codec_.EncodeGroupKeyBlock(user.public_key, secret));
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutGroupKey(gid, uid, std::move(block))));
+    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+        ssp::ObjectKey::GroupKey(gid, uid), std::move(block))));
   }
   return kp;
 }
@@ -59,12 +60,14 @@ Status Provisioner::AddGroupMember(fs::GroupId gid, fs::UserId uid) {
       Bytes block, codec_.EncodeGroupKeyBlock(user.public_key,
                                               GroupSecret{gid,
                                                           it->second.priv}));
-  return Put(ssp::Request::PutGroupKey(gid, uid, std::move(block)));
+  return Put(ssp::Request::Put(ssp::ObjectKey::GroupKey(gid, uid),
+                               std::move(block)));
 }
 
 Status Provisioner::RemoveGroupMember(fs::GroupId gid, fs::UserId uid) {
   SHAROES_RETURN_IF_ERROR(identity_->RemoveMember(gid, uid));
-  SHAROES_RETURN_IF_ERROR(Put(ssp::Request::DeleteGroupKey(gid, uid)));
+  SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Delete(ssp::ObjectKey::GroupKey(
+      gid, uid))));
   // Rotate the group identity so the revoked member's cached private key
   // stops opening *future* wraps; rewrap for remaining members.
   crypto::RsaKeyPair fresh = engine_->NewUserKeyPair(options_.user_key_bits);
@@ -76,8 +79,8 @@ Status Provisioner::RemoveGroupMember(fs::GroupId gid, fs::UserId uid) {
     SHAROES_ASSIGN_OR_RETURN(UserInfo user, identity_->GetUser(member));
     SHAROES_ASSIGN_OR_RETURN(
         Bytes block, codec_.EncodeGroupKeyBlock(user.public_key, secret));
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutGroupKey(gid, member, std::move(block))));
+    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+        ssp::ObjectKey::GroupKey(gid, member), std::move(block))));
   }
   return Status::OK();
 }
@@ -99,32 +102,8 @@ Status Provisioner::Put(ssp::Request req) {
     return Status::FailedPrecondition(
         "provisioner has neither a local store nor a remote channel");
   }
-  switch (req.op) {
-    case ssp::OpCode::kPutMetadata:
-      server_->store().PutMetadata(req.inode, req.selector,
-                                   std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutData:
-      server_->store().PutData(req.inode, req.block, std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutUserMetadata:
-      server_->store().PutUserMetadata(req.inode, req.user,
-                                       std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutSuperblock:
-      server_->store().PutSuperblock(req.user, std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutGroupKey:
-      server_->store().PutGroupKey(req.group, req.user,
-                                   std::move(req.payload));
-      break;
-    case ssp::OpCode::kDeleteGroupKey:
-      server_->store().DeleteGroupKey(req.group, req.user);
-      break;
-    default:
-      return Status::Internal("unexpected provisioning opcode");
-  }
-  return Status::OK();
+  // Local provisioning applies through the server's own apply path.
+  return ssp::ApplyWalOp(req, &server_->store());
 }
 
 Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
@@ -191,8 +170,8 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
   for (const ReplicaSpec& s : specs) {
     Bytes wire = codec_.EncodeMetadataReplica(s, attrs, obj.bundle);
     Store(wire.size(), stats);
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutMetadata(inode, s.selector, std::move(wire))));
+    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(inode, s.selector), std::move(wire))));
     ++stats->metadata_replicas;
   }
 
@@ -208,18 +187,21 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
                                  s.Fields(spec.type).table_view, master,
                                  universe, obj.bundle, &blocks));
       Store(wire.size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutMetadata(
-          inode, TableSelector(s.selector), std::move(wire))));
+      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+          ssp::ObjectKey::Metadata(inode, TableSelector(s.selector)),
+          std::move(wire))));
       ++stats->table_copies;
     }
     Bytes master_wire = codec_.EncodeMasterTable(inode, master, obj.bundle);
     Store(master_wire.size(), stats);
-    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutMetadata(
-        inode, TableSelector(kMasterSelector), std::move(master_wire))));
+    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(inode, TableSelector(kMasterSelector)),
+        std::move(master_wire))));
     for (PendingSplitBlock& b : blocks) {
       Store(b.wire.size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutUserMetadata(
-          b.child_inode, b.id, std::move(b.wire))));
+      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+          ssp::ObjectKey::UserMetadata(b.child_inode, b.id),
+          std::move(b.wire))));
       ++stats->split_blocks;
     }
   } else {
@@ -256,13 +238,14 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
                                          obj.bundle.dek,
                                          obj.bundle.data.sign);
     Store(wire0.size(), stats);
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutData(inode, 0, std::move(wire0))));
+    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+        ssp::ObjectKey::Data(inode, 0), std::move(wire0))));
     ++stats->data_blocks;
     for (size_t i = 0; i < tail_wires.size(); ++i) {
       Store(tail_wires[i].size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutData(
-          inode, static_cast<uint32_t>(i) + 1, std::move(tail_wires[i]))));
+      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+          ssp::ObjectKey::Data(inode, static_cast<uint32_t>(i) + 1),
+          std::move(tail_wires[i]))));
       ++stats->data_blocks;
     }
   }
@@ -287,8 +270,8 @@ Status Provisioner::WriteSuperblocks(const MigratedObject& root) {
     SHAROES_ASSIGN_OR_RETURN(UserInfo user, identity_->GetUser(uid));
     SHAROES_ASSIGN_OR_RETURN(
         Bytes wire, codec_.EncodeSuperblock(user.public_key, payload));
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutSuperblock(uid, std::move(wire))));
+    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
+        ssp::ObjectKey::Superblock(uid), std::move(wire))));
   }
   return Status::OK();
 }

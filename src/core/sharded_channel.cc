@@ -10,7 +10,6 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "ssp/tcp_service.h"
-#include "util/binary_io.h"
 
 namespace sharoes::core {
 
@@ -25,71 +24,15 @@ bool IsAdminOp(OpCode op) {
   return op == OpCode::kGetStats || op == OpCode::kGetTraces;
 }
 
-/// The put that rewrites one object from a get's winning payload — the
-/// read-repair verb per object family.
-Request MakeRepairPut(const Request& get, Bytes payload) {
-  switch (get.op) {
-    case OpCode::kGetSuperblock:
-      return Request::PutSuperblock(get.user, std::move(payload));
-    case OpCode::kGetMetadata:
-      return Request::PutMetadata(get.inode, get.selector,
-                                  std::move(payload));
-    case OpCode::kGetUserMetadata:
-      return Request::PutUserMetadata(get.inode, get.user,
-                                      std::move(payload));
-    case OpCode::kGetData:
-      return Request::PutData(get.inode, get.block, std::move(payload));
-    case OpCode::kGetGroupKey:
-      return Request::PutGroupKey(get.group, get.user, std::move(payload));
-    default:
-      return Request{};  // Unreachable: only gets reach RepairStale.
-  }
-}
-
-/// The delete that propagates one object's tombstone from a get — the
-/// delete-repair verb per object family (kDeleteData exists exactly so
-/// a single data block's tombstone can be repaired without touching the
-/// rest of the inode).
-Request MakeRepairDelete(const Request& get) {
-  switch (get.op) {
-    case OpCode::kGetSuperblock:
-      return Request::DeleteSuperblock(get.user);
-    case OpCode::kGetMetadata:
-      return Request::DeleteMetadata(get.inode, get.selector);
-    case OpCode::kGetUserMetadata:
-      return Request::DeleteUserMetadata(get.inode, get.user);
-    case OpCode::kGetData:
-      return Request::DeleteData(get.inode, get.block);
-    case OpCode::kGetGroupKey:
-      return Request::DeleteGroupKey(get.group, get.user);
-    default:
-      return Request{};  // Unreachable: only gets reach RepairStale.
-  }
-}
-
-/// Reads the little-endian u64 trailing `payload` (the versioned-read
-/// generation suffix / the kDeleted generation payload). 0 when absent.
-uint64_t TrailingGen(const Bytes& payload) {
-  if (payload.size() < 8) return 0;
-  BinaryReader r(payload.data() + payload.size() - 8, 8);
-  uint64_t gen = r.GetU64();
-  return r.ok() ? gen : 0;
-}
-
 }  // namespace
 
 /// Per-sub-op quorum progress across rounds. Replica positions index
 /// into `replicas` (preference order from the ring).
 struct ShardedChannel::SubState {
-  /// One usable read reply, decoded from the versioned wire shape: the
-  /// generation suffix is stripped off kOk payloads and a kDeleted
-  /// reply keeps its tombstone generation, so SettleRead compares clean
-  /// object bytes and raw generations.
-  struct Reply {
-    uint32_t pos = 0;           // Replica position (preference order).
-    RespStatus status = RespStatus::kNotFound;  // kOk/kNotFound/kDeleted.
-    Bytes payload;              // Object bytes (kOk only), suffix-free.
-    uint64_t gen = 0;           // Replica's per-key store generation.
+  /// One usable read reply (decoded versioned wire shape) and the
+  /// replica position that gave it.
+  struct Reply : ssp::VersionedReply {
+    uint32_t pos = 0;  // Replica position (preference order).
   };
 
   const Request* req = nullptr;
@@ -228,73 +171,23 @@ void ShardedChannel::BackoffRound(int round) {
   }
 }
 
-bool ShardedChannel::MakeObjectKey(const Request& req, ObjectKey* key) {
-  switch (req.op) {
-    case OpCode::kGetSuperblock:
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-      *key = {static_cast<uint8_t>(OpCode::kGetSuperblock), req.user, 0};
-      return true;
-    case OpCode::kGetMetadata:
-    case OpCode::kPutMetadata:
-    case OpCode::kDeleteMetadata:
-      *key = {static_cast<uint8_t>(OpCode::kGetMetadata), req.inode,
-              req.selector};
-      return true;
-    case OpCode::kGetUserMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kDeleteUserMetadata:
-      *key = {static_cast<uint8_t>(OpCode::kGetUserMetadata), req.inode,
-              req.user};
-      return true;
-    case OpCode::kGetData:
-    case OpCode::kPutData:
-    case OpCode::kDeleteData:
-      *key = {static_cast<uint8_t>(OpCode::kGetData), req.inode, req.block};
-      return true;
-    case OpCode::kGetGroupKey:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      *key = {static_cast<uint8_t>(OpCode::kGetGroupKey), req.group,
-              req.user};
-      return true;
-    default:
-      return false;  // Range deletes and non-store ops.
-  }
-}
-
 void ShardedChannel::NoteWrite(const Request& req) {
-  ObjectKey key;
   switch (req.op) {
-    case OpCode::kPutSuperblock:
-    case OpCode::kPutMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kPutData:
-    case OpCode::kPutGroupKey:
-      if (MakeObjectKey(req, &key)) {
-        session_marks_[key] = {false, crypto::Sha256Digest(req.payload)};
-      }
+    case OpCode::kPut:
+      session_marks_[req.key] = {false, crypto::Sha256Digest(req.payload)};
       return;
-    case OpCode::kDeleteSuperblock:
-    case OpCode::kDeleteMetadata:
-    case OpCode::kDeleteUserMetadata:
-    case OpCode::kDeleteData:
-    case OpCode::kDeleteGroupKey:
+    case OpCode::kDelete:
       // Flip to a deleted mark, never erase: erasing would let a stale
       // live reply match the pre-delete digest on a later read and win
       // the settle — this session resurrecting its own delete.
-      if (MakeObjectKey(req, &key)) session_marks_[key] = {true, {}};
+      session_marks_[req.key] = {true, {}};
       return;
-    case OpCode::kDeleteInodeMetadata:
-    case OpCode::kDeleteInodeData: {
-      // Range: every mark of the inode's family flips to deleted.
-      uint8_t family = static_cast<uint8_t>(
-          req.op == OpCode::kDeleteInodeData ? OpCode::kGetData
-                                             : OpCode::kGetMetadata);
-      auto it = session_marks_.lower_bound(ObjectKey{family, req.inode, 0});
-      auto end =
-          session_marks_.upper_bound(ObjectKey{family, req.inode,
-                                               ~uint64_t{0}});
+    case OpCode::kDeleteRange: {
+      // Range: every mark of the family under this k1 flips to deleted.
+      const ssp::ObjectFamily family = req.key.family;
+      const uint64_t k1 = req.key.k1;
+      auto it = session_marks_.lower_bound({family, k1, 0});
+      auto end = session_marks_.upper_bound({family, k1, ~uint64_t{0}});
       for (; it != end; ++it) it->second = {true, {}};
       return;
     }
@@ -428,7 +321,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
     SubState& s = states[i];
     s.req = subs[i];
     s.mutating = ssp::IsMutatingOp(s.req->op);
-    s.replicas = ring_.ReplicaIndicesFor(ssp::RoutingKeyOf(*s.req));
+    s.replicas = ring_.ReplicaIndicesFor(ssp::RoutingKeyOf(s.req->key));
     const uint32_t k = static_cast<uint32_t>(s.replicas.size());
     s.need_acks = std::min(config.write_quorum, k);
     s.need_replies = std::min(config.read_quorum, k);
@@ -450,10 +343,6 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
   std::vector<uint32_t> fanout_nodes;
   bool any_wrong_shard = false;
   for (int round = 0; round < std::max(1, options_.quorum_rounds); ++round) {
-    if (round > 0) {
-      BackoffRound(round);
-      ++quorum_retry_rounds_;
-    }
     // Plan the round. Writes: every replica that has not acked the sub
     // yet — even for subs whose quorum is already met — so each node
     // receives the sub-ops it is missing in submission order (a node
@@ -513,6 +402,12 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
       }
     }
     if (!planned_unfinished) break;
+    // Back off only before a round that has unfinished work: a call whose
+    // first round settled every sub-op returns without sleeping.
+    if (round > 0) {
+      BackoffRound(round);
+      ++quorum_retry_rounds_;
+    }
 
     // Materialize wires + connections on this thread, then fan out.
     for (NodeTask& t : tasks) {
@@ -593,25 +488,10 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
             }
           }
         } else {
-          if ((status == RespStatus::kOk ||
-               status == RespStatus::kNotFound ||
-               status == RespStatus::kDeleted) &&
-              !s.HasUsable(pos)) {
-            // Decode the versioned wire shape once, here: kOk payloads
-            // end in an 8-byte generation suffix, kDeleted payloads ARE
-            // the tombstone's generation, kNotFound has no version.
-            SubState::Reply reply;
+          SubState::Reply reply;
+          if (!s.HasUsable(pos) &&
+              ssp::DecodeVersionedReply(*sub_resp, &reply)) {
             reply.pos = pos;
-            reply.status = status;
-            if (status == RespStatus::kOk) {
-              reply.gen = TrailingGen(sub_resp->payload);
-              reply.payload = sub_resp->payload;
-              if (reply.payload.size() >= 8) {
-                reply.payload.resize(reply.payload.size() - 8);
-              }
-            } else if (status == RespStatus::kDeleted) {
-              reply.gen = TrailingGen(sub_resp->payload);
-            }
             s.usable.push_back(std::move(reply));
           }
         }
@@ -736,9 +616,8 @@ void ShardedChannel::SettleRead(SubState* sub) {
   //    session mark never matches anything here (its digest is empty
   //    on purpose), so a stale live copy of a key this session deleted
   //    cannot ride the fingerprint path back to life.
-  ObjectKey key;
-  if (winner == nullptr && MakeObjectKey(*sub->req, &key)) {
-    auto mark = session_marks_.find(key);
+  if (winner == nullptr) {
+    auto mark = session_marks_.find(sub->req->key);
     if (mark != session_marks_.end() && !mark->second.deleted) {
       for (const auto* u : oks) {
         if (crypto::Sha256Digest(u->payload) == mark->second.digest) {
@@ -756,7 +635,7 @@ void ShardedChannel::SettleRead(SubState* sub) {
   //    AEAD tag framing) — one raw blob in the set and the comparison
   //    would be garbage against garbage, promoting whatever noise
   //    decodes largest. Mixed or raw payloads fall through to majority.
-  if (winner == nullptr && sub->req->op == OpCode::kGetData) {
+  if (winner == nullptr && sub->req->key.family == ssp::ObjectFamily::kData) {
     bool all_codec = true;
     for (const auto* u : oks) {
       if (!ObjectCodec::PeekDataHeader(u->payload).ok() ||
@@ -823,8 +702,8 @@ void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
     // nothing fresher is ever clobbered (idempotent either way).
     // Best-effort: a failed repair just leaves the divergence for the
     // next read or the anti-entropy scrubber to heal.
-    Request fix = deleted ? MakeRepairDelete(*sub.req)
-                          : MakeRepairPut(*sub.req, payload);
+    Request fix = deleted ? Request::Delete(sub.req->key)
+                          : Request::Put(sub.req->key, payload);
     if (gen != 0) {
       fix.has_store_gen = true;
       fix.store_gen = gen;
@@ -834,8 +713,8 @@ void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
     if (!repaired.ok() || (repaired->status != RespStatus::kOk &&
                            repaired->status != RespStatus::kNotFound)) {
       obs::Log(obs::Severity::kWarn, "client.shard.repair_failed",
-               {{"op", ssp::OpCodeName(sub.req->op)},
-                {"inode", sub.req->inode}});
+               {{"op", ssp::OpCodeName(fix.op)},
+                {"k1", sub.req->key.k1}});
     }
   }
 }

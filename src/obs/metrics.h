@@ -162,7 +162,7 @@ struct RegistrySnapshot {
 /// may be cached and used lock-free forever after.
 ///
 /// Naming scheme (DESIGN.md §9): dot-separated `<component>.<metric>`
-/// with an optional trailing label, e.g. "ssp.requests.GetData",
+/// with an optional trailing label, e.g. "ssp.requests.Get",
 /// "ssp.errors.kBadRequest", "client.cache.hits".
 class MetricsRegistry {
  public:

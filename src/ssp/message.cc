@@ -9,9 +9,9 @@ constexpr int kMaxBatchDepth = 2;  // A batch may not contain batches.
 // batch counts before reserve(): a count claiming more sub-messages than
 // the remaining bytes could possibly hold is a lie, and trusting it would
 // let a ~40-byte frame demand gigabytes of vector reservation.
-//   Request:  op(1) + inode(8) + selector(8) + user/group/block(12) +
-//             payload length(4) + batch count(4).
-constexpr size_t kMinRequestWire = 37;
+//   Request:  op(1) + family(1) + k1(8) + k2(8) + payload length(4) +
+//             batch count(4).
+constexpr size_t kMinRequestWire = 26;
 //   Response: status(1) + payload length(4) + batch count(4).
 constexpr size_t kMinResponseWire = 9;
 
@@ -55,98 +55,46 @@ void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
 }
 }
 
+bool ObjectKey::Valid() const {
+  constexpr uint64_t kU32Max = UINT32_MAX;
+  switch (family) {
+    case ObjectFamily::kSuperblock:
+      return k1 <= kU32Max && k2 == 0;
+    case ObjectFamily::kMetadata:
+      return true;
+    case ObjectFamily::kUserMetadata:
+    case ObjectFamily::kData:
+      return k2 <= kU32Max;
+    case ObjectFamily::kGroupKey:
+      return k1 <= kU32Max && k2 <= kU32Max;
+  }
+  return false;  // Unknown family (a cast from wire bytes).
+}
+
 const char* OpCodeName(OpCode op) {
   switch (op) {
-    case OpCode::kGetSuperblock: return "GetSuperblock";
-    case OpCode::kPutSuperblock: return "PutSuperblock";
-    case OpCode::kDeleteSuperblock: return "DeleteSuperblock";
-    case OpCode::kGetMetadata: return "GetMetadata";
-    case OpCode::kPutMetadata: return "PutMetadata";
-    case OpCode::kDeleteMetadata: return "DeleteMetadata";
-    case OpCode::kDeleteInodeMetadata: return "DeleteInodeMetadata";
-    case OpCode::kGetUserMetadata: return "GetUserMetadata";
-    case OpCode::kPutUserMetadata: return "PutUserMetadata";
-    case OpCode::kDeleteUserMetadata: return "DeleteUserMetadata";
-    case OpCode::kGetData: return "GetData";
-    case OpCode::kPutData: return "PutData";
-    case OpCode::kDeleteInodeData: return "DeleteInodeData";
-    case OpCode::kGetGroupKey: return "GetGroupKey";
-    case OpCode::kPutGroupKey: return "PutGroupKey";
-    case OpCode::kDeleteGroupKey: return "DeleteGroupKey";
+    case OpCode::kGet: return "Get";
+    case OpCode::kPut: return "Put";
+    case OpCode::kDelete: return "Delete";
+    case OpCode::kDeleteRange: return "DeleteRange";
     case OpCode::kBatch: return "Batch";
     case OpCode::kGetStats: return "GetStats";
     case OpCode::kGetTraces: return "GetTraces";
-    case OpCode::kDeleteData: return "DeleteData";
   }
   return "Unknown";
 }
 
 bool IsMutatingOp(OpCode op) {
-  switch (op) {
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-    case OpCode::kPutMetadata:
-    case OpCode::kDeleteMetadata:
-    case OpCode::kDeleteInodeMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kDeleteUserMetadata:
-    case OpCode::kPutData:
-    case OpCode::kDeleteData:
-    case OpCode::kDeleteInodeData:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      return true;
-    default:
-      return false;
-  }
+  return op == OpCode::kPut || op == OpCode::kDelete ||
+         op == OpCode::kDeleteRange;
 }
 
 bool IsBatchableOp(OpCode op) {
-  switch (op) {
-    case OpCode::kGetSuperblock:
-    case OpCode::kGetMetadata:
-    case OpCode::kGetUserMetadata:
-    case OpCode::kGetData:
-    case OpCode::kGetGroupKey:
-      return true;
-    default:
-      // Every mutating op is store-scoped and individually loggable.
-      return IsMutatingOp(op);
-  }
+  return op == OpCode::kGet || IsMutatingOp(op);
 }
 
 bool IsIdempotentOp(OpCode op) {
-  switch (op) {
-    // Reads and admin snapshots have no effects to repeat.
-    case OpCode::kGetSuperblock:
-    case OpCode::kGetMetadata:
-    case OpCode::kGetUserMetadata:
-    case OpCode::kGetData:
-    case OpCode::kGetGroupKey:
-    case OpCode::kGetStats:
-    case OpCode::kGetTraces:
-    // Puts and deletes are absolute assignments to fixed coordinates
-    // (inode, selector, user, group, block) — no appends, counters, or
-    // compare-and-swaps — so a replay reproduces the same final state.
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-    case OpCode::kPutMetadata:
-    case OpCode::kDeleteMetadata:
-    case OpCode::kDeleteInodeMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kDeleteUserMetadata:
-    case OpCode::kPutData:
-    case OpCode::kDeleteData:
-    case OpCode::kDeleteInodeData:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      return true;
-    // kBatch is deliberately absent: a batch is idempotent iff every
-    // sub-op is, which is the caller's per-request question (see
-    // core::RetryingConnection), not a property of the wrapper opcode.
-    default:
-      return false;
-  }
+  return op != OpCode::kBatch && static_cast<size_t>(op) < kNumOpCodes;
 }
 
 const char* RespStatusName(RespStatus status) {
@@ -163,11 +111,9 @@ const char* RespStatusName(RespStatus status) {
 
 void Request::AppendTo(BinaryWriter* w) const {
   w->PutU8(static_cast<uint8_t>(op));
-  w->PutU64(inode);
-  w->PutU64(selector);
-  w->PutU32(user);
-  w->PutU32(group);
-  w->PutU32(block);
+  w->PutU8(static_cast<uint8_t>(key.family));
+  w->PutU64(key.k1);
+  w->PutU64(key.k2);
   w->PutBytes(payload);
   w->PutU32(static_cast<uint32_t>(batch.size()));
   for (const Request& r : batch) r.AppendTo(w);
@@ -229,11 +175,12 @@ Result<Request> Request::ReadFrom(BinaryReader* r, int depth) {
     return Status::Corruption("unknown opcode");
   }
   req.op = static_cast<OpCode>(op);
-  req.inode = r->GetU64();
-  req.selector = r->GetU64();
-  req.user = r->GetU32();
-  req.group = r->GetU32();
-  req.block = r->GetU32();
+  req.key.family = static_cast<ObjectFamily>(r->GetU8());
+  req.key.k1 = r->GetU64();
+  req.key.k2 = r->GetU64();
+  if (r->ok() && !req.key.Valid()) {
+    return Status::Corruption("invalid object key");
+  }
   req.payload = r->GetBytes();
   uint32_t n = r->GetU32();
   if (!r->ok() || n > r->remaining() / kMinRequestWire) {
@@ -262,140 +209,32 @@ Result<Request> Request::Deserialize(const Bytes& data) {
   return req;
 }
 
-Request Request::GetSuperblock(uint32_t user) {
+Request Request::Get(ObjectKey key) {
   Request r;
-  r.op = OpCode::kGetSuperblock;
-  r.user = user;
+  r.op = OpCode::kGet;
+  r.key = key;
   return r;
 }
 
-Request Request::PutSuperblock(uint32_t user, Bytes payload) {
+Request Request::Put(ObjectKey key, Bytes payload) {
   Request r;
-  r.op = OpCode::kPutSuperblock;
-  r.user = user;
+  r.op = OpCode::kPut;
+  r.key = key;
   r.payload = std::move(payload);
   return r;
 }
 
-Request Request::GetMetadata(fs::InodeNum inode, Selector sel) {
+Request Request::Delete(ObjectKey key) {
   Request r;
-  r.op = OpCode::kGetMetadata;
-  r.inode = inode;
-  r.selector = sel;
+  r.op = OpCode::kDelete;
+  r.key = key;
   return r;
 }
 
-Request Request::PutMetadata(fs::InodeNum inode, Selector sel, Bytes payload) {
+Request Request::DeleteRange(ObjectFamily family, uint64_t k1) {
   Request r;
-  r.op = OpCode::kPutMetadata;
-  r.inode = inode;
-  r.selector = sel;
-  r.payload = std::move(payload);
-  return r;
-}
-
-Request Request::DeleteSuperblock(uint32_t user) {
-  Request r;
-  r.op = OpCode::kDeleteSuperblock;
-  r.user = user;
-  return r;
-}
-
-Request Request::DeleteMetadata(fs::InodeNum inode, Selector sel) {
-  Request r;
-  r.op = OpCode::kDeleteMetadata;
-  r.inode = inode;
-  r.selector = sel;
-  return r;
-}
-
-Request Request::DeleteInodeMetadata(fs::InodeNum inode) {
-  Request r;
-  r.op = OpCode::kDeleteInodeMetadata;
-  r.inode = inode;
-  return r;
-}
-
-Request Request::GetUserMetadata(fs::InodeNum inode, uint32_t user) {
-  Request r;
-  r.op = OpCode::kGetUserMetadata;
-  r.inode = inode;
-  r.user = user;
-  return r;
-}
-
-Request Request::PutUserMetadata(fs::InodeNum inode, uint32_t user,
-                                 Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutUserMetadata;
-  r.inode = inode;
-  r.user = user;
-  r.payload = std::move(payload);
-  return r;
-}
-
-Request Request::GetData(fs::InodeNum inode, uint32_t block) {
-  Request r;
-  r.op = OpCode::kGetData;
-  r.inode = inode;
-  r.block = block;
-  return r;
-}
-
-Request Request::PutData(fs::InodeNum inode, uint32_t block, Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutData;
-  r.inode = inode;
-  r.block = block;
-  r.payload = std::move(payload);
-  return r;
-}
-
-Request Request::DeleteUserMetadata(fs::InodeNum inode, uint32_t user) {
-  Request r;
-  r.op = OpCode::kDeleteUserMetadata;
-  r.inode = inode;
-  r.user = user;
-  return r;
-}
-
-Request Request::DeleteData(fs::InodeNum inode, uint32_t block) {
-  Request r;
-  r.op = OpCode::kDeleteData;
-  r.inode = inode;
-  r.block = block;
-  return r;
-}
-
-Request Request::DeleteInodeData(fs::InodeNum inode) {
-  Request r;
-  r.op = OpCode::kDeleteInodeData;
-  r.inode = inode;
-  return r;
-}
-
-Request Request::GetGroupKey(uint32_t group, uint32_t user) {
-  Request r;
-  r.op = OpCode::kGetGroupKey;
-  r.group = group;
-  r.user = user;
-  return r;
-}
-
-Request Request::PutGroupKey(uint32_t group, uint32_t user, Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutGroupKey;
-  r.group = group;
-  r.user = user;
-  r.payload = std::move(payload);
-  return r;
-}
-
-Request Request::DeleteGroupKey(uint32_t group, uint32_t user) {
-  Request r;
-  r.op = OpCode::kDeleteGroupKey;
-  r.group = group;
-  r.user = user;
+  r.op = OpCode::kDeleteRange;
+  r.key = {family, k1, 0};
   return r;
 }
 
@@ -432,6 +271,13 @@ Bytes Response::Serialize() const {
   return w.Take();
 }
 
+Response Response::Versioned(Bytes blob, uint64_t gen) {
+  BinaryWriter w;
+  w.PutRaw(blob);
+  w.PutU64(gen);
+  return Response{RespStatus::kOk, w.Take(), {}};
+}
+
 Response Response::Deleted(uint64_t gen) {
   BinaryWriter w;
   w.PutU64(gen);
@@ -466,6 +312,28 @@ Result<Response> Response::Deserialize(const Bytes& data) {
   SHAROES_ASSIGN_OR_RETURN(Response resp, ReadFrom(&r, 0));
   SHAROES_RETURN_IF_ERROR(r.Finish("response"));
   return resp;
+}
+
+bool DecodeVersionedReply(const Response& resp, VersionedReply* out) {
+  if (resp.status != RespStatus::kOk && resp.status != RespStatus::kNotFound &&
+      resp.status != RespStatus::kDeleted) {
+    return false;
+  }
+  out->status = resp.status;
+  out->payload.clear();
+  out->gen = 0;
+  if (resp.status == RespStatus::kNotFound) return true;
+  // Both versioned shapes end in the u64 generation: the suffix of a
+  // live blob, the whole payload of a tombstone reply.
+  if (resp.payload.size() >= 8) {
+    const size_t body = resp.payload.size() - 8;
+    BinaryReader r(resp.payload.data() + body, 8);
+    out->gen = r.GetU64();
+    if (resp.status == RespStatus::kOk) {
+      out->payload.assign(resp.payload.begin(), resp.payload.begin() + body);
+    }
+  }
+  return true;
 }
 
 }  // namespace sharoes::ssp

@@ -1,16 +1,17 @@
 // The client <-> SSP wire protocol.
 //
-// The SSP performs no computation on data (paper §IV): it is a hashtable
-// of encrypted blobs keyed by inode number plus either a CAP selector
-// (Scheme-2), a user id (Scheme-1 / split points / superblocks), or a
-// block index (data). The protocol therefore has only get/put/delete
-// verbs plus a batch wrapper that lets a client combine the multiple
-// replica writes of one logical operation into one round trip ("metadata
-// send" / "parent-dir send" in the paper's Figure 8).
+// The SSP performs no computation on data (paper §IV): it is one
+// hashtable of encrypted blobs. Every blob sits under a typed ObjectKey
+// (an object family plus two integer components), and the protocol has
+// only get/put/delete verbs on such keys, a ranged delete, a batch
+// wrapper that lets a client combine the multiple replica writes of one
+// logical operation into one round trip ("metadata send" / "parent-dir
+// send" in the paper's Figure 8), and two read-only admin verbs.
 
 #ifndef SHAROES_SSP_MESSAGE_H_
 #define SHAROES_SSP_MESSAGE_H_
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -20,65 +21,94 @@
 
 namespace sharoes::ssp {
 
+/// Replica selector: which copy of an inode's metadata. Scheme-2 uses a
+/// CAP id, Scheme-1 a hash of the user id; the baselines use selector 0.
+using Selector = uint64_t;
+
+/// The object families. The store treats every family alike; the family
+/// only fixes how wide each key component may be (ObjectKey::Valid) and
+/// which placement domain the key routes in (RoutingKeyOf).
+enum class ObjectFamily : uint8_t {
+  kSuperblock = 0,    // k1 = user (u32),  k2 = 0.
+  kMetadata = 1,      // k1 = inode,       k2 = selector.
+  kUserMetadata = 2,  // k1 = inode,       k2 = user (u32; split points).
+  kData = 3,          // k1 = inode,       k2 = block (u32).
+  kGroupKey = 4,      // k1 = group (u32), k2 = user (u32).
+};
+inline constexpr size_t kNumObjectFamilies = 5;
+
+/// The key of one stored object. Keys order by (family, k1, k2), so all
+/// of one inode's objects of one family are contiguous — the property
+/// the ranged delete and the store's inode-colocated shards rest on.
+struct ObjectKey {
+  ObjectFamily family = ObjectFamily::kData;
+  uint64_t k1 = 0;
+  uint64_t k2 = 0;
+
+  static ObjectKey Superblock(uint32_t user) {
+    return {ObjectFamily::kSuperblock, user, 0};
+  }
+  static ObjectKey Metadata(fs::InodeNum inode, Selector sel) {
+    return {ObjectFamily::kMetadata, inode, sel};
+  }
+  static ObjectKey UserMetadata(fs::InodeNum inode, uint32_t user) {
+    return {ObjectFamily::kUserMetadata, inode, user};
+  }
+  static ObjectKey Data(fs::InodeNum inode, uint32_t block) {
+    return {ObjectFamily::kData, inode, block};
+  }
+  static ObjectKey GroupKey(uint32_t group, uint32_t user) {
+    return {ObjectFamily::kGroupKey, group, user};
+  }
+
+  /// True iff the family is known and every component fits its slot:
+  /// u32 slots (users, groups, blocks) stay below 2^32 and a superblock
+  /// has k2 == 0. Deserialize rejects any other key, so a 64-bit k1 can
+  /// never reach the placement domain bits RoutingKeyOf sets.
+  bool Valid() const;
+
+  auto operator<=>(const ObjectKey&) const = default;
+};
+
 enum class OpCode : uint8_t {
-  kGetSuperblock = 0,
-  kPutSuperblock = 1,
-  kDeleteSuperblock = 2,
-  kGetMetadata = 3,
-  kPutMetadata = 4,
-  kDeleteMetadata = 5,       // One (inode, selector) replica.
-  kDeleteInodeMetadata = 6,  // Every replica of an inode.
-  kGetUserMetadata = 7,      // Split-point per-user blocks (paper §III-D.2).
-  kPutUserMetadata = 8,
-  kDeleteUserMetadata = 9,
-  kGetData = 10,
-  kPutData = 11,
-  kDeleteInodeData = 12,  // Every data block of an inode.
-  kGetGroupKey = 13,
-  kPutGroupKey = 14,
-  kDeleteGroupKey = 15,
-  kBatch = 16,
-  kGetStats = 17,   // Admin: metrics-registry snapshot (JSON). An optional
-                    // payload is a metric-name prefix filter ("ssp.wal").
-  kGetTraces = 18,  // Admin: captured slow-request span timelines (JSON,
-                    // see obs/span.h). Read-only, like kGetStats.
-  kDeleteData = 19,  // One (inode, block) data replica. Exists so read
-                     // repair can propagate a *single block's* tombstone
-                     // without re-deleting the whole inode's data range.
+  kGet = 0,
+  kPut = 1,
+  kDelete = 2,
+  kDeleteRange = 3,  // Every object of (key.family, key.k1); k2 unused.
+  kBatch = 4,
+  kGetStats = 5,   // Admin: metrics-registry snapshot (JSON). An optional
+                   // payload is a metric-name prefix filter ("ssp.wal").
+  kGetTraces = 6,  // Admin: captured slow-request span timelines (JSON,
+                   // see obs/span.h). Read-only, like kGetStats.
 };
 
 /// One past the largest valid OpCode (array sizing, validity checks).
 inline constexpr size_t kNumOpCodes =
-    static_cast<size_t>(OpCode::kDeleteData) + 1;
+    static_cast<size_t>(OpCode::kGetTraces) + 1;
 
-/// Stable metric-label name for an opcode ("GetData", "Batch", ...).
+/// Stable metric-label name for an opcode ("Get", "Batch", ...).
 const char* OpCodeName(OpCode op);
 
-/// True iff the opcode mutates the store. Exactly these ops go through
-/// the write-ahead log (ssp/wal.h); gets, stats, and the batch wrapper
-/// (whose sub-ops are logged individually) do not.
+/// True iff the opcode mutates the store (put, delete, ranged delete).
+/// Exactly these ops go through the write-ahead log (ssp/wal.h); gets,
+/// admin ops, and the batch wrapper (whose sub-ops are logged
+/// individually) do not.
 bool IsMutatingOp(OpCode op);
 
-/// True iff the opcode may appear as a kBatch sub-op: the store-level
-/// gets/puts/deletes. Nesting (kBatch) and admin ops (kGetStats) are
-/// excluded — sub-ops must be individually WAL-loggable and store-scoped,
-/// and the server rejects anything else with kBadRequest so a future
-/// opcode cannot silently ride inside a batch.
+/// True iff the opcode may appear as a kBatch sub-op: the store verbs.
+/// Nesting (kBatch) and admin ops are excluded — sub-ops must be
+/// individually WAL-loggable and store-scoped, and the server rejects
+/// anything else with kBadRequest.
 bool IsBatchableOp(OpCode op);
 
 /// True iff executing the op twice leaves the store in the state of
 /// executing it once — the property that makes transparent transport
-/// retry (core::RetryingConnection) safe for it. Every current opcode
-/// qualifies (absolute-coordinate puts/gets/deletes); any future
-/// non-idempotent opcode must return false here, which makes the retry
-/// layer refuse to replay it until it carries a request id + dedup
-/// window. kBatch itself returns false — batch idempotence is the AND
-/// over sub-ops and is decided per request by the retry layer.
+/// retry (core::RetryingConnection) safe for it. Every verb qualifies:
+/// puts and deletes are absolute assignments to fixed keys, with no
+/// appends, counters, or compare-and-swaps. kBatch itself returns false
+/// — batch idempotence is the AND over sub-ops and is decided per
+/// request by the retry layer.
 bool IsIdempotentOp(OpCode op);
-
-/// Replica selector: which copy of an inode's metadata. Scheme-2 uses a
-/// CAP id, Scheme-1 a hash of the user id; the baselines use selector 0.
-using Selector = uint64_t;
 
 // --- Request header extension (observability) -------------------------
 // A top-level Request may carry a trailing extension block after the
@@ -112,12 +142,8 @@ inline constexpr uint8_t kExtensionTagWantVersion = 3;
 inline constexpr uint8_t kExtensionTagBinaryStats = 4;
 
 struct Request {
-  OpCode op = OpCode::kGetMetadata;
-  fs::InodeNum inode = fs::kInvalidInode;
-  Selector selector = 0;
-  uint32_t user = 0;
-  uint32_t group = 0;
-  uint32_t block = 0;
+  OpCode op = OpCode::kGet;
+  ObjectKey key;
   Bytes payload;
   std::vector<Request> batch;  // Only for kBatch.
 
@@ -145,25 +171,12 @@ struct Request {
   Bytes SerializeWithTrace(uint64_t trace_id, uint8_t attempt) const;
   static Result<Request> Deserialize(const Bytes& data);
 
-  // Convenience constructors for the common shapes.
-  static Request GetSuperblock(uint32_t user);
-  static Request PutSuperblock(uint32_t user, Bytes payload);
-  static Request DeleteSuperblock(uint32_t user);
-  static Request GetMetadata(fs::InodeNum inode, Selector sel);
-  static Request PutMetadata(fs::InodeNum inode, Selector sel, Bytes payload);
-  static Request DeleteMetadata(fs::InodeNum inode, Selector sel);
-  static Request DeleteInodeMetadata(fs::InodeNum inode);
-  static Request GetUserMetadata(fs::InodeNum inode, uint32_t user);
-  static Request PutUserMetadata(fs::InodeNum inode, uint32_t user,
-                                 Bytes payload);
-  static Request DeleteUserMetadata(fs::InodeNum inode, uint32_t user);
-  static Request GetData(fs::InodeNum inode, uint32_t block);
-  static Request PutData(fs::InodeNum inode, uint32_t block, Bytes payload);
-  static Request DeleteData(fs::InodeNum inode, uint32_t block);
-  static Request DeleteInodeData(fs::InodeNum inode);
-  static Request GetGroupKey(uint32_t group, uint32_t user);
-  static Request PutGroupKey(uint32_t group, uint32_t user, Bytes payload);
-  static Request DeleteGroupKey(uint32_t group, uint32_t user);
+  static Request Get(ObjectKey key);
+  static Request Put(ObjectKey key, Bytes payload);
+  static Request Delete(ObjectKey key);
+  /// Deletes every object of `family` whose k1 is `k1` (all metadata
+  /// replicas, or all data blocks, of one inode).
+  static Request DeleteRange(ObjectFamily family, uint64_t k1);
   static Request Batch(std::vector<Request> requests);
   /// `prefix` filters the snapshot to metrics whose name starts with it
   /// (empty = full registry); it rides in the payload.
@@ -225,6 +238,9 @@ struct Response {
   static Response WrongShard() {
     return Response{RespStatus::kWrongShard, {}, {}};
   }
+  /// Live reply for a versioned read: the blob, then its generation as
+  /// an 8-byte suffix.
+  static Response Versioned(Bytes blob, uint64_t gen);
   /// Tombstone reply for a versioned read; payload is the generation.
   static Response Deleted(uint64_t gen);
 
@@ -232,6 +248,19 @@ struct Response {
   void AppendTo(BinaryWriter* w) const;
   static Result<Response> ReadFrom(BinaryReader* r, int depth);
 };
+
+/// One replica's answer to a versioned read, decoded from the wire shape:
+/// the generation suffix is stripped off kOk payloads, a kDeleted reply
+/// keeps its tombstone generation, and kNotFound has generation 0.
+struct VersionedReply {
+  RespStatus status = RespStatus::kNotFound;  // kOk, kNotFound or kDeleted.
+  Bytes payload;  // Object bytes (kOk only), suffix-free.
+  uint64_t gen = 0;
+};
+
+/// Decodes `resp` into `out`. False for replies that say nothing about
+/// the key (kError, kWrongShard, kBadRequest).
+bool DecodeVersionedReply(const Response& resp, VersionedReply* out);
 
 }  // namespace sharoes::ssp
 

@@ -1,6 +1,5 @@
 #include "ssp/object_store.h"
 
-#include <fstream>
 #include <mutex>
 #include <utility>
 
@@ -43,9 +42,10 @@ namespace {
 // at the same generation (ties go to the tombstone — the property that
 // keeps repair from resurrecting a freshly-deleted key). Caller holds
 // the shard's exclusive lock.
-template <typename Map, typename Key>
-bool PutEntry(Map& m, const Key& k, Bytes blob, uint64_t gen,
-              uint64_t& family_bytes, StorageStats& st) {
+template <typename Map>
+bool PutEntry(Map& m, const ObjectKey& k, Bytes blob, uint64_t gen,
+              StorageStats& st) {
+  uint64_t& family_bytes = st.family_bytes[static_cast<size_t>(k.family)];
   auto [it, inserted] = m.try_emplace(k);
   auto& e = it->second;
   uint64_t new_gen;
@@ -78,14 +78,27 @@ bool PutEntry(Map& m, const Key& k, Bytes blob, uint64_t gen,
   return true;
 }
 
+// Turns a live entry into a tombstone at `gen`, keeping the accounting.
+template <typename EntryT>
+void Entomb(EntryT& e, uint64_t gen, uint64_t& family_bytes,
+            StorageStats& st) {
+  family_bytes -= e.blob.size();
+  --st.object_count;
+  ++st.tombstone_count;
+  e.blob = Bytes();
+  e.tombstone = true;
+  e.gen = gen;
+}
+
 // Applies a delete at `gen` (0 = bump). With tombstones off this is the
 // classic erase; with them on, the entry becomes (or stays) a tombstone
 // carrying the winning generation. Returns false only on a gen-gated
 // loss (the local entry is strictly newer — a delete wins its tie, the
 // mirror of PutEntry). Caller holds the shard's exclusive lock.
-template <typename Map, typename Key>
-bool DeleteEntry(Map& m, const Key& k, uint64_t gen, bool tombstones,
-                 uint64_t& family_bytes, StorageStats& st) {
+template <typename Map>
+bool DeleteEntry(Map& m, const ObjectKey& k, uint64_t gen, bool tombstones,
+                 StorageStats& st) {
+  uint64_t& family_bytes = st.family_bytes[static_cast<size_t>(k.family)];
   auto it = m.find(k);
   if (it == m.end()) {
     if (tombstones) {
@@ -113,32 +126,12 @@ bool DeleteEntry(Map& m, const Key& k, uint64_t gen, bool tombstones,
     return true;
   }
   uint64_t new_gen = (gen == 0) ? (e.tombstone ? e.gen : e.gen + 1) : gen;
-  if (!e.tombstone) {
-    family_bytes -= e.blob.size();
-    --st.object_count;
-    ++st.tombstone_count;
-    e.blob = Bytes();
-    e.tombstone = true;
+  if (e.tombstone) {
+    e.gen = new_gen;
+  } else {
+    Entomb(e, new_gen, family_bytes, st);
   }
-  e.gen = new_gen;
   return true;
-}
-
-// Legacy read: live blobs only; tombstones read as absent.
-template <typename Map, typename Key>
-std::optional<Bytes> Find(const Map& m, const Key& k) {
-  auto it = m.find(k);
-  if (it == m.end() || it->second.tombstone) return std::nullopt;
-  return it->second.blob;
-}
-
-template <typename Map, typename Key>
-std::optional<ObjectStore::Versioned> FindVersioned(const Map& m,
-                                                    const Key& k) {
-  auto it = m.find(k);
-  if (it == m.end()) return std::nullopt;
-  return ObjectStore::Versioned{it->second.blob, it->second.gen,
-                                it->second.tombstone};
 }
 
 }  // namespace
@@ -151,311 +144,99 @@ ObjectStore::ObjectStore(size_t num_shards) {
   }
 }
 
-ObjectStore::Shard& ObjectStore::ShardFor(uint64_t key) const {
-  return *shards_[MixKey(key) % shards_.size()];
+ObjectStore::Shard& ObjectStore::ShardFor(uint64_t k1) const {
+  return *shards_[MixKey(k1) % shards_.size()];
 }
 
-bool ObjectStore::PutSuperblock(uint32_t user, Bytes blob, uint64_t gen) {
-  Shard& s = ShardFor(user);
+bool ObjectStore::Put(const ObjectKey& key, Bytes blob, uint64_t gen) {
+  Shard& s = ShardFor(key.k1);
   auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.superblocks, user, std::move(blob), gen,
-                  s.stats.superblock_bytes, s.stats);
+  return PutEntry(s.entries, key, std::move(blob), gen, s.stats);
 }
 
-std::optional<Bytes> ObjectStore::GetSuperblock(uint32_t user) const {
-  Shard& s = ShardFor(user);
+std::optional<Bytes> ObjectStore::Get(const ObjectKey& key) const {
+  Shard& s = ShardFor(key.k1);
   auto lock = AcquireShared(s.mu);
-  return Find(s.superblocks, user);
+  auto it = s.entries.find(key);
+  if (it == s.entries.end() || it->second.tombstone) return std::nullopt;
+  return it->second.blob;
 }
 
-bool ObjectStore::DeleteSuperblock(uint32_t user, uint64_t gen) {
-  Shard& s = ShardFor(user);
+bool ObjectStore::Delete(const ObjectKey& key, uint64_t gen) {
+  Shard& s = ShardFor(key.k1);
   auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.superblocks, user, gen, tombstones_enabled_,
-                     s.stats.superblock_bytes, s.stats);
+  return DeleteEntry(s.entries, key, gen, tombstones_enabled_, s.stats);
 }
 
-bool ObjectStore::PutMetadata(fs::InodeNum inode, Selector sel, Bytes blob,
-                              uint64_t gen) {
-  Shard& s = ShardFor(inode);
+void ObjectStore::DeleteRange(ObjectFamily family, uint64_t k1) {
+  // With tombstones on, every live entry in the range becomes a
+  // tombstone at its own bumped generation (existing tombstones are left
+  // untouched). A key this node never stored gets no tombstone — quorum
+  // intersection covers that case: any quorum-acked write of the missing
+  // key shares at least one node with this delete's quorum (DESIGN.md
+  // §16).
+  Shard& s = ShardFor(k1);
   auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.metadata, std::make_pair(inode, sel), std::move(blob),
-                  gen, s.stats.metadata_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetMetadata(fs::InodeNum inode,
-                                              Selector sel) const {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.metadata, std::make_pair(inode, sel));
-}
-
-bool ObjectStore::DeleteMetadata(fs::InodeNum inode, Selector sel,
-                                 uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.metadata, std::make_pair(inode, sel), gen,
-                     tombstones_enabled_, s.stats.metadata_bytes, s.stats);
-}
-
-void ObjectStore::DeleteInodeMetadata(fs::InodeNum inode) {
-  // All of an inode's replicas hash to the same shard, so the ranged
-  // delete is a single-shard operation. With tombstones on, every live
-  // replica in the range becomes a tombstone at its own bumped
-  // generation (existing tombstones are left untouched). A replica this
-  // node never stored gets no tombstone — quorum intersection covers
-  // that case: any quorum-acked write of the missing key shares at
-  // least one node with this delete's quorum (DESIGN.md §16).
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  auto it = s.metadata.lower_bound({inode, 0});
-  while (it != s.metadata.end() && it->first.first == inode) {
+  uint64_t& family_bytes = s.stats.family_bytes[static_cast<size_t>(family)];
+  auto it = s.entries.lower_bound({family, k1, 0});
+  while (it != s.entries.end() && it->first.family == family &&
+         it->first.k1 == k1) {
+    Entry& e = it->second;
     if (tombstones_enabled_) {
-      if (!it->second.tombstone) {
-        s.stats.metadata_bytes -= it->second.blob.size();
-        --s.stats.object_count;
-        ++s.stats.tombstone_count;
-        it->second.blob = Bytes();
-        it->second.tombstone = true;
-        ++it->second.gen;
-      }
+      if (!e.tombstone) Entomb(e, e.gen + 1, family_bytes, s.stats);
       ++it;
     } else {
-      s.stats.metadata_bytes -= it->second.blob.size();
+      family_bytes -= e.blob.size();
       --s.stats.object_count;
-      it = s.metadata.erase(it);
+      it = s.entries.erase(it);
     }
   }
 }
 
-size_t ObjectStore::MetadataReplicaCount(fs::InodeNum inode) const {
-  Shard& s = ShardFor(inode);
+size_t ObjectStore::LiveCount(ObjectFamily family, uint64_t k1) const {
+  Shard& s = ShardFor(k1);
   auto lock = AcquireShared(s.mu);
   size_t n = 0;
-  for (auto it = s.metadata.lower_bound({inode, 0});
-       it != s.metadata.end() && it->first.first == inode; ++it) {
+  for (auto it = s.entries.lower_bound({family, k1, 0});
+       it != s.entries.end() && it->first.family == family &&
+       it->first.k1 == k1;
+       ++it) {
     if (!it->second.tombstone) ++n;
   }
   return n;
 }
 
-bool ObjectStore::PutUserMetadata(fs::InodeNum inode, uint32_t user,
-                                  Bytes blob, uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.user_metadata, std::make_pair(inode, user),
-                  std::move(blob), gen, s.stats.user_metadata_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetUserMetadata(fs::InodeNum inode,
-                                                  uint32_t user) const {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.user_metadata, std::make_pair(inode, user));
-}
-
-bool ObjectStore::DeleteUserMetadata(fs::InodeNum inode, uint32_t user,
-                                     uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.user_metadata, std::make_pair(inode, user), gen,
-                     tombstones_enabled_, s.stats.user_metadata_bytes,
-                     s.stats);
-}
-
-bool ObjectStore::PutData(fs::InodeNum inode, uint32_t block, Bytes blob,
-                          uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.data, std::make_pair(inode, block), std::move(blob), gen,
-                  s.stats.data_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetData(fs::InodeNum inode,
-                                          uint32_t block) const {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.data, std::make_pair(inode, block));
-}
-
-bool ObjectStore::DeleteData(fs::InodeNum inode, uint32_t block,
-                             uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.data, std::make_pair(inode, block), gen,
-                     tombstones_enabled_, s.stats.data_bytes, s.stats);
-}
-
-void ObjectStore::DeleteInodeData(fs::InodeNum inode) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  auto it = s.data.lower_bound({inode, 0});
-  while (it != s.data.end() && it->first.first == inode) {
-    if (tombstones_enabled_) {
-      if (!it->second.tombstone) {
-        s.stats.data_bytes -= it->second.blob.size();
-        --s.stats.object_count;
-        ++s.stats.tombstone_count;
-        it->second.blob = Bytes();
-        it->second.tombstone = true;
-        ++it->second.gen;
-      }
-      ++it;
-    } else {
-      s.stats.data_bytes -= it->second.blob.size();
-      --s.stats.object_count;
-      it = s.data.erase(it);
-    }
-  }
-}
-
-bool ObjectStore::PutGroupKey(uint32_t group, uint32_t user, Bytes blob,
-                              uint64_t gen) {
-  Shard& s = ShardFor(group);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.group_keys, std::make_pair(group, user), std::move(blob),
-                  gen, s.stats.group_key_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetGroupKey(uint32_t group,
-                                              uint32_t user) const {
-  Shard& s = ShardFor(group);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.group_keys, std::make_pair(group, user));
-}
-
-bool ObjectStore::DeleteGroupKey(uint32_t group, uint32_t user,
-                                 uint64_t gen) {
-  Shard& s = ShardFor(group);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.group_keys, std::make_pair(group, user), gen,
-                     tombstones_enabled_, s.stats.group_key_bytes, s.stats);
-}
-
 std::optional<ObjectStore::Versioned> ObjectStore::GetVersioned(
-    const Request& get) const {
-  switch (get.op) {
-    case OpCode::kGetSuperblock: {
-      Shard& s = ShardFor(get.user);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.superblocks, get.user);
-    }
-    case OpCode::kGetMetadata: {
-      Shard& s = ShardFor(get.inode);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.metadata, std::make_pair(get.inode, get.selector));
-    }
-    case OpCode::kGetUserMetadata: {
-      Shard& s = ShardFor(get.inode);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.user_metadata,
-                           std::make_pair(get.inode, get.user));
-    }
-    case OpCode::kGetData: {
-      Shard& s = ShardFor(get.inode);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.data, std::make_pair(get.inode, get.block));
-    }
-    case OpCode::kGetGroupKey: {
-      Shard& s = ShardFor(get.group);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.group_keys, std::make_pair(get.group, get.user));
-    }
-    default:
-      return std::nullopt;
-  }
+    const ObjectKey& key) const {
+  Shard& s = ShardFor(key.k1);
+  auto lock = AcquireShared(s.mu);
+  auto it = s.entries.find(key);
+  if (it == s.entries.end()) return std::nullopt;
+  return Versioned{it->second.blob, it->second.gen, it->second.tombstone};
 }
 
 std::vector<ObjectVersion> ObjectStore::ListVersions() const {
   std::vector<ObjectVersion> out;
   for (const auto& shard : shards_) {
     auto lock = AcquireShared(shard->mu);
-    for (const auto& [user, e] : shard->superblocks) {
-      out.push_back({{ObjectFamily::kSuperblock, user, 0}, e.gen,
-                     e.tombstone});
-    }
-    for (const auto& [key, e] : shard->metadata) {
-      out.push_back({{ObjectFamily::kMetadata, key.first, key.second}, e.gen,
-                     e.tombstone});
-    }
-    for (const auto& [key, e] : shard->user_metadata) {
-      out.push_back({{ObjectFamily::kUserMetadata, key.first, key.second},
-                     e.gen, e.tombstone});
-    }
-    for (const auto& [key, e] : shard->data) {
-      out.push_back({{ObjectFamily::kData, key.first, key.second}, e.gen,
-                     e.tombstone});
-    }
-    for (const auto& [key, e] : shard->group_keys) {
-      out.push_back({{ObjectFamily::kGroupKey, key.first, key.second}, e.gen,
-                     e.tombstone});
+    for (const auto& [key, e] : shard->entries) {
+      out.push_back({key, e.gen, e.tombstone});
     }
   }
   return out;
 }
 
-namespace {
-
-// GC helper: erase m[k] iff it is still a tombstone at exactly `gen`.
-template <typename Map, typename Key>
-bool EraseTombstone(Map& m, const Key& k, uint64_t gen, StorageStats& st) {
-  auto it = m.find(k);
-  if (it == m.end() || !it->second.tombstone || it->second.gen != gen) {
+bool ObjectStore::RemoveTombstone(const ObjectKey& key, uint64_t gen) {
+  Shard& s = ShardFor(key.k1);
+  auto lock = AcquireUnique(s.mu);
+  auto it = s.entries.find(key);
+  if (it == s.entries.end() || !it->second.tombstone ||
+      it->second.gen != gen) {
     return false;
   }
-  --st.tombstone_count;
-  m.erase(it);
+  --s.stats.tombstone_count;
+  s.entries.erase(it);
   return true;
-}
-
-}  // namespace
-
-bool ObjectStore::RemoveTombstone(const ObjectRef& ref, uint64_t gen) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(s.superblocks, static_cast<uint32_t>(ref.k1),
-                            gen, s.stats);
-    }
-    case ObjectFamily::kMetadata: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.metadata,
-          std::make_pair(static_cast<fs::InodeNum>(ref.k1),
-                         static_cast<Selector>(ref.k2)),
-          gen, s.stats);
-    }
-    case ObjectFamily::kUserMetadata: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.user_metadata,
-          std::make_pair(static_cast<fs::InodeNum>(ref.k1),
-                         static_cast<uint32_t>(ref.k2)),
-          gen, s.stats);
-    }
-    case ObjectFamily::kData: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.data,
-          std::make_pair(static_cast<fs::InodeNum>(ref.k1),
-                         static_cast<uint32_t>(ref.k2)),
-          gen, s.stats);
-    }
-    case ObjectFamily::kGroupKey: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.group_keys,
-          std::make_pair(static_cast<uint32_t>(ref.k1),
-                         static_cast<uint32_t>(ref.k2)),
-          gen, s.stats);
-    }
-  }
-  return false;
 }
 
 StorageStats ObjectStore::Stats() const {
@@ -463,11 +244,9 @@ StorageStats ObjectStore::Stats() const {
   for (const auto& shard : shards_) {
     auto lock = AcquireShared(shard->mu);
     const StorageStats& s = shard->stats;
-    total.superblock_bytes += s.superblock_bytes;
-    total.metadata_bytes += s.metadata_bytes;
-    total.user_metadata_bytes += s.user_metadata_bytes;
-    total.data_bytes += s.data_bytes;
-    total.group_key_bytes += s.group_key_bytes;
+    for (size_t f = 0; f < kNumObjectFamilies; ++f) {
+      total.family_bytes[f] += s.family_bytes[f];
+    }
     total.object_count += s.object_count;
     total.tombstone_count += s.tombstone_count;
   }
@@ -476,240 +255,93 @@ StorageStats ObjectStore::Stats() const {
 
 namespace {
 
-// v1 ("SSP1") snapshots carried bare blobs; v2 ("SSP2") adds a u64
-// generation and a u8 tombstone flag per entry, so tombstones and
-// version history survive a daemon restart / WAL compaction.
-constexpr uint32_t kStoreMagicV1 = 0x53535031;  // "SSP1".
-constexpr uint32_t kStoreMagicV2 = 0x53535032;  // "SSP2".
-
-struct EntryImage {
-  Bytes blob;
-  uint64_t gen = 0;
-  bool tombstone = false;
-};
-
-template <typename K1, typename K2, typename Map>
-void PutPairMap(BinaryWriter* w, const Map& m) {
-  w->PutU32(static_cast<uint32_t>(m.size()));
-  for (const auto& [key, e] : m) {
-    w->PutU64(static_cast<uint64_t>(key.first));
-    w->PutU64(static_cast<uint64_t>(key.second));
-    w->PutU64(e.gen);
-    w->PutU8(e.tombstone ? 1 : 0);
-    w->PutBytes(e.blob);
-  }
-}
-
-// Reads one serialized pair-map, delegating each entry to `put` so the
-// entries land in the right shard with accounting applied. `versioned`
-// selects the v2 per-entry framing.
-template <typename K1, typename K2, typename PutFn>
-Status GetPairMap(BinaryReader* r, bool versioned, PutFn put) {
-  uint32_t n = r->GetU32();
-  if (!r->ok() || n > r->remaining()) {
-    return Status::Corruption("truncated store map");
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    K1 k1 = static_cast<K1>(r->GetU64());
-    K2 k2 = static_cast<K2>(r->GetU64());
-    EntryImage e;
-    if (versioned) {
-      e.gen = r->GetU64();
-      e.tombstone = r->GetU8() != 0;
-    } else {
-      e.gen = 1;
-    }
-    e.blob = r->GetBytes();
-    put(k1, k2, std::move(e));
-  }
-  return r->ok() ? Status::OK() : Status::Corruption("truncated store map");
-}
+// Snapshot image: magic, entry count, then per entry in key order
+// `family u8 | k1 u64 | k2 u64 | gen u64 | tombstone u8 | blob`.
+// Earlier images (one section per family, "SSP1"/"SSP2") are refused.
+constexpr uint32_t kStoreMagic = 0x53535033;     // "SSP3".
+constexpr uint32_t kStoreMagicV1 = 0x53535031;   // "SSP1".
+constexpr uint32_t kStoreMagicV2 = 0x53535032;   // "SSP2".
+// family + k1 + k2 + gen + tombstone + blob length.
+constexpr size_t kMinEntryWire = 1 + 8 + 8 + 8 + 1 + 4;
 
 }  // namespace
 
 Bytes ObjectStore::Serialize() const {
-  std::map<uint32_t, Entry> superblocks;
-  std::map<std::pair<fs::InodeNum, Selector>, Entry> metadata;
-  std::map<std::pair<fs::InodeNum, uint32_t>, Entry> user_metadata;
-  std::map<std::pair<fs::InodeNum, uint32_t>, Entry> data;
-  std::map<std::pair<uint32_t, uint32_t>, Entry> group_keys;
+  std::map<ObjectKey, Entry> sorted;
   for (const auto& shard : shards_) {
     auto lock = AcquireShared(shard->mu);
-    superblocks.insert(shard->superblocks.begin(), shard->superblocks.end());
-    metadata.insert(shard->metadata.begin(), shard->metadata.end());
-    user_metadata.insert(shard->user_metadata.begin(),
-                         shard->user_metadata.end());
-    data.insert(shard->data.begin(), shard->data.end());
-    group_keys.insert(shard->group_keys.begin(), shard->group_keys.end());
+    sorted.insert(shard->entries.begin(), shard->entries.end());
   }
-
   BinaryWriter w;
-  w.PutU32(kStoreMagicV2);
-  w.PutU32(static_cast<uint32_t>(superblocks.size()));
-  for (const auto& [user, e] : superblocks) {
-    w.PutU32(user);
+  w.PutU32(kStoreMagic);
+  w.PutU64(sorted.size());
+  for (const auto& [key, e] : sorted) {
+    w.PutU8(static_cast<uint8_t>(key.family));
+    w.PutU64(key.k1);
+    w.PutU64(key.k2);
     w.PutU64(e.gen);
     w.PutU8(e.tombstone ? 1 : 0);
     w.PutBytes(e.blob);
   }
-  PutPairMap<fs::InodeNum, Selector>(&w, metadata);
-  PutPairMap<fs::InodeNum, uint32_t>(&w, user_metadata);
-  PutPairMap<fs::InodeNum, uint32_t>(&w, data);
-  PutPairMap<uint32_t, uint32_t>(&w, group_keys);
   return w.Take();
-}
-
-void ObjectStore::RestoreEntry(ObjectFamily family, uint64_t k1, uint64_t k2,
-                               Bytes blob, uint64_t gen, bool tombstone) {
-  Shard& s = ShardFor(k1);
-  auto lock = AcquireUnique(s.mu);
-  Entry e{std::move(blob), gen, tombstone};
-  uint64_t* family_bytes = nullptr;
-  switch (family) {
-    case ObjectFamily::kSuperblock:
-      family_bytes = &s.stats.superblock_bytes;
-      break;
-    case ObjectFamily::kMetadata:
-      family_bytes = &s.stats.metadata_bytes;
-      break;
-    case ObjectFamily::kUserMetadata:
-      family_bytes = &s.stats.user_metadata_bytes;
-      break;
-    case ObjectFamily::kData:
-      family_bytes = &s.stats.data_bytes;
-      break;
-    case ObjectFamily::kGroupKey:
-      family_bytes = &s.stats.group_key_bytes;
-      break;
-  }
-  if (tombstone) {
-    ++s.stats.tombstone_count;
-  } else {
-    ++s.stats.object_count;
-    *family_bytes += e.blob.size();
-  }
-  switch (family) {
-    case ObjectFamily::kSuperblock:
-      s.superblocks[static_cast<uint32_t>(k1)] = std::move(e);
-      break;
-    case ObjectFamily::kMetadata:
-      s.metadata[{static_cast<fs::InodeNum>(k1), static_cast<Selector>(k2)}] =
-          std::move(e);
-      break;
-    case ObjectFamily::kUserMetadata:
-      s.user_metadata[{static_cast<fs::InodeNum>(k1),
-                       static_cast<uint32_t>(k2)}] = std::move(e);
-      break;
-    case ObjectFamily::kData:
-      s.data[{static_cast<fs::InodeNum>(k1), static_cast<uint32_t>(k2)}] =
-          std::move(e);
-      break;
-    case ObjectFamily::kGroupKey:
-      s.group_keys[{static_cast<uint32_t>(k1), static_cast<uint32_t>(k2)}] =
-          std::move(e);
-      break;
-  }
 }
 
 Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
   BinaryReader r(data);
   uint32_t magic = r.GetU32();
-  bool versioned;
-  if (magic == kStoreMagicV2) {
-    versioned = true;
-  } else if (magic == kStoreMagicV1) {
-    versioned = false;
-  } else {
+  if (magic == kStoreMagicV1 || magic == kStoreMagicV2) {
+    return Status::Corruption("unsupported store snapshot version");
+  }
+  if (!r.ok() || magic != kStoreMagic) {
     return Status::Corruption("not an SSP store snapshot");
   }
-  ObjectStore store;
-  uint32_t n_super = r.GetU32();
-  if (!r.ok() || n_super > r.remaining()) {
+  uint64_t n = r.GetU64();
+  if (!r.ok() || n > r.remaining() / kMinEntryWire) {
     return Status::Corruption("truncated store snapshot");
   }
-  for (uint32_t i = 0; i < n_super; ++i) {
-    uint32_t user = r.GetU32();
-    uint64_t gen = 1;
-    bool tombstone = false;
-    if (versioned) {
-      gen = r.GetU64();
-      tombstone = r.GetU8() != 0;
+  ObjectStore store;
+  for (uint64_t i = 0; i < n; ++i) {
+    ObjectKey key;
+    key.family = static_cast<ObjectFamily>(r.GetU8());
+    key.k1 = r.GetU64();
+    key.k2 = r.GetU64();
+    Entry e;
+    e.gen = r.GetU64();
+    e.tombstone = r.GetU8() != 0;
+    e.blob = r.GetBytes();
+    if (!r.ok()) return Status::Corruption("truncated store snapshot");
+    if (!key.Valid()) return Status::Corruption("invalid key in snapshot");
+    Shard& s = store.ShardFor(key.k1);
+    if (e.tombstone) {
+      ++s.stats.tombstone_count;
+    } else {
+      ++s.stats.object_count;
+      s.stats.family_bytes[static_cast<size_t>(key.family)] += e.blob.size();
     }
-    store.RestoreEntry(ObjectFamily::kSuperblock, user, 0, r.GetBytes(), gen,
-                       tombstone);
+    s.entries[key] = std::move(e);
   }
-  SHAROES_RETURN_IF_ERROR((GetPairMap<fs::InodeNum, Selector>(
-      &r, versioned,
-      [&store](fs::InodeNum inode, Selector sel, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kMetadata, inode, sel,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
-  SHAROES_RETURN_IF_ERROR((GetPairMap<fs::InodeNum, uint32_t>(
-      &r, versioned,
-      [&store](fs::InodeNum inode, uint32_t user, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kUserMetadata, inode, user,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
-  SHAROES_RETURN_IF_ERROR((GetPairMap<fs::InodeNum, uint32_t>(
-      &r, versioned,
-      [&store](fs::InodeNum inode, uint32_t block, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kData, inode, block,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
-  SHAROES_RETURN_IF_ERROR((GetPairMap<uint32_t, uint32_t>(
-      &r, versioned, [&store](uint32_t group, uint32_t user, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kGroupKey, group, user,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
   SHAROES_RETURN_IF_ERROR(r.Finish("store snapshot"));
   return store;
 }
 
-Status ObjectStore::SaveToFile(const std::string& path) const {
-  Bytes data = Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open '" + path + "' for write");
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  return out.good() ? Status::OK()
-                    : Status::IoError("short write to '" + path + "'");
-}
-
-Result<ObjectStore> ObjectStore::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  return Deserialize(data);
-}
-
-bool ObjectStore::CorruptMetadata(fs::InodeNum inode, Selector sel,
-                                  size_t offset, uint8_t mask) {
-  Shard& s = ShardFor(inode);
+bool ObjectStore::Corrupt(const ObjectKey& key, size_t offset, uint8_t mask) {
+  Shard& s = ShardFor(key.k1);
   auto lock = AcquireUnique(s.mu);
-  auto it = s.metadata.find({inode, sel});
-  if (it == s.metadata.end() || it->second.blob.empty()) return false;
+  auto it = s.entries.find(key);
+  if (it == s.entries.end() || it->second.blob.empty()) return false;
   it->second.blob[offset % it->second.blob.size()] ^= mask;
   return true;
 }
 
-bool ObjectStore::CorruptData(fs::InodeNum inode, uint32_t block,
-                              size_t offset, uint8_t mask) {
-  Shard& s = ShardFor(inode);
+bool ObjectStore::Replace(const ObjectKey& key, Bytes blob) {
+  Shard& s = ShardFor(key.k1);
   auto lock = AcquireUnique(s.mu);
-  auto it = s.data.find({inode, block});
-  if (it == s.data.end() || it->second.blob.empty()) return false;
-  it->second.blob[offset % it->second.blob.size()] ^= mask;
-  return true;
-}
-
-bool ObjectStore::ReplaceData(fs::InodeNum inode, uint32_t block, Bytes blob) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  auto it = s.data.find({inode, block});
-  if (it == s.data.end() || it->second.tombstone) return false;
-  s.stats.data_bytes -= it->second.blob.size();
-  s.stats.data_bytes += blob.size();
+  auto it = s.entries.find(key);
+  if (it == s.entries.end() || it->second.tombstone) return false;
+  uint64_t& family_bytes = s.stats.family_bytes[static_cast<size_t>(
+      key.family)];
+  family_bytes -= it->second.blob.size();
+  family_bytes += blob.size();
   it->second.blob = std::move(blob);
   return true;
 }

@@ -1,42 +1,40 @@
-// The SSP's storage: a set of hashtables of opaque encrypted blobs
-// ("it simply maintains a large hashtable for encrypted metadata objects
-// and encrypted data blocks", paper §IV). Includes fault injection used
-// by the integrity tests and storage accounting used by the Scheme-1 /
-// Scheme-2 cost ablation.
+// The SSP's storage: one hashtable of opaque encrypted blobs under typed
+// keys ("it simply maintains a large hashtable for encrypted metadata
+// objects and encrypted data blocks", paper §IV). Includes fault
+// injection used by the integrity tests and storage accounting used by
+// the Scheme-1 / Scheme-2 cost ablation.
 //
 // Versioning: every entry carries a monotone per-key generation, bumped
 // on each put or delete of that key. In cluster mode (tombstones
 // enabled) a delete does not erase — it leaves a versioned tombstone, so
 // a replica that was down through the delete can later be told, with a
-// comparable generation, that the key is dead (DESIGN.md §16). Gen-gated
-// variants of put/delete exist for read repair and the anti-entropy
-// scrubber: they apply only if the explicit generation wins against the
-// local entry (ties go to the tombstone), which is what makes repair
+// comparable generation, that the key is dead (DESIGN.md §16). Put and
+// Delete take an optional explicit generation for read repair and the
+// anti-entropy scrubber: they apply only if that generation wins against
+// the local entry (ties go to the tombstone), which is what makes repair
 // convergent and resurrection-free. Single-daemon deployments leave
 // tombstones disabled and get the classic erase semantics.
 //
 // Thread safety: the store is shard-striped. Keys are hash-partitioned
-// over N shards (default 16), each guarded by its own std::shared_mutex;
-// reads take shared locks, writes exclusive locks, and storage accounting
-// lives in per-shard counters aggregated on Stats(). Maps whose keys share
-// an inode (metadata replicas, per-user metadata, data blocks) are
-// partitioned by inode so the inode-ranged operations
-// (DeleteInodeMetadata, DeleteInodeData, MetadataReplicaCount) stay
-// single-shard. No operation ever holds more than one shard lock, so
-// there is no lock-order concern (see DESIGN.md §7).
+// by their k1 component over N shards (default 16), each guarded by its
+// own std::shared_mutex; reads take shared locks, writes exclusive
+// locks, and storage accounting lives in per-shard counters aggregated
+// on Stats(). Partitioning by k1 keeps every object of one inode in one
+// shard, so the ranged ops (DeleteRange, LiveCount) are single-shard.
+// No operation ever holds more than one shard lock, so there is no
+// lock-order concern (see DESIGN.md §7).
 
 #ifndef SHAROES_SSP_OBJECT_STORE_H_
 #define SHAROES_SSP_OBJECT_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
-#include <string>
 #include <vector>
 
-#include "fs/types.h"
 #include "ssp/message.h"
 #include "util/binary_io.h"
 #include "util/bytes.h"
@@ -48,39 +46,23 @@ namespace sharoes::ssp {
 /// only; tombstones (empty blobs by construction) are counted separately
 /// so GC progress is observable.
 struct StorageStats {
-  uint64_t superblock_bytes = 0;
-  uint64_t metadata_bytes = 0;
-  uint64_t user_metadata_bytes = 0;
-  uint64_t data_bytes = 0;
-  uint64_t group_key_bytes = 0;
+  std::array<uint64_t, kNumObjectFamilies> family_bytes{};
   uint64_t object_count = 0;
   uint64_t tombstone_count = 0;
 
-  uint64_t total_bytes() const {
-    return superblock_bytes + metadata_bytes + user_metadata_bytes +
-           data_bytes + group_key_bytes;
+  uint64_t bytes(ObjectFamily family) const {
+    return family_bytes[static_cast<size_t>(family)];
   }
-};
-
-/// The five key spaces, for the generic enumeration / GC interface.
-enum class ObjectFamily : uint8_t {
-  kSuperblock = 0,   // k1 = user,  k2 unused.
-  kMetadata = 1,     // k1 = inode, k2 = selector.
-  kUserMetadata = 2, // k1 = inode, k2 = user.
-  kData = 3,         // k1 = inode, k2 = block.
-  kGroupKey = 4,     // k1 = group, k2 = user.
-};
-
-/// A family-qualified key, wide enough for every family.
-struct ObjectRef {
-  ObjectFamily family = ObjectFamily::kData;
-  uint64_t k1 = 0;
-  uint64_t k2 = 0;
+  uint64_t total_bytes() const {
+    uint64_t total = 0;
+    for (uint64_t b : family_bytes) total += b;
+    return total;
+  }
 };
 
 /// One entry as seen by the scrubber's enumeration.
 struct ObjectVersion {
-  ObjectRef ref;
+  ObjectKey key;
   uint64_t gen = 0;
   bool tombstone = false;
 };
@@ -116,54 +98,28 @@ class ObjectStore {
   void set_tombstones_enabled(bool on) { tombstones_enabled_ = on; }
   bool tombstones_enabled() const { return tombstones_enabled_; }
 
-  // Puts and per-key deletes take an optional explicit generation:
-  // gen == 0 (every pre-existing call site) means "bump the local
-  // generation", the normal client path. gen != 0 is the repair/scrub
-  // path: apply *at* that generation iff it beats the local entry
-  // (put loses to a tombstone at the same gen; delete wins the tie).
-  // The bool return says whether the op applied; ordinary callers
+  // Put and Delete take an optional explicit generation: gen == 0 means
+  // "bump the local generation", the normal client path. gen != 0 is the
+  // repair/scrub path: apply *at* that generation iff it beats the local
+  // entry (put loses to a tombstone at the same gen; delete wins the
+  // tie). The bool return says whether the op applied; ordinary callers
   // ignore it.
-
-  // Superblocks, keyed by user.
-  bool PutSuperblock(uint32_t user, Bytes blob, uint64_t gen = 0);
-  std::optional<Bytes> GetSuperblock(uint32_t user) const;
-  bool DeleteSuperblock(uint32_t user, uint64_t gen = 0);
-
-  // Metadata replicas, keyed by (inode, selector).
-  bool PutMetadata(fs::InodeNum inode, Selector sel, Bytes blob,
-                   uint64_t gen = 0);
-  std::optional<Bytes> GetMetadata(fs::InodeNum inode, Selector sel) const;
-  bool DeleteMetadata(fs::InodeNum inode, Selector sel, uint64_t gen = 0);
-  void DeleteInodeMetadata(fs::InodeNum inode);
-  /// Number of live (non-tombstone) replicas stored for an inode.
-  size_t MetadataReplicaCount(fs::InodeNum inode) const;
-
-  // Per-user metadata blocks (split points).
-  bool PutUserMetadata(fs::InodeNum inode, uint32_t user, Bytes blob,
-                       uint64_t gen = 0);
-  std::optional<Bytes> GetUserMetadata(fs::InodeNum inode,
-                                       uint32_t user) const;
-  bool DeleteUserMetadata(fs::InodeNum inode, uint32_t user,
-                          uint64_t gen = 0);
-
-  // Data blocks, keyed by (inode, block index).
-  bool PutData(fs::InodeNum inode, uint32_t block, Bytes blob,
-               uint64_t gen = 0);
-  std::optional<Bytes> GetData(fs::InodeNum inode, uint32_t block) const;
-  bool DeleteData(fs::InodeNum inode, uint32_t block, uint64_t gen = 0);
-  void DeleteInodeData(fs::InodeNum inode);
-
-  // Group key blocks, keyed by (group, user).
-  bool PutGroupKey(uint32_t group, uint32_t user, Bytes blob,
-                   uint64_t gen = 0);
-  std::optional<Bytes> GetGroupKey(uint32_t group, uint32_t user) const;
-  bool DeleteGroupKey(uint32_t group, uint32_t user, uint64_t gen = 0);
+  bool Put(const ObjectKey& key, Bytes blob, uint64_t gen = 0);
+  /// The live blob; tombstones read as absent.
+  std::optional<Bytes> Get(const ObjectKey& key) const;
+  bool Delete(const ObjectKey& key, uint64_t gen = 0);
+  /// Deletes every object of `family` whose k1 is `k1` (every metadata
+  /// replica, or every data block, of one inode). With tombstones on,
+  /// each live entry becomes a tombstone at its own bumped generation;
+  /// keys this store never held get no tombstone.
+  void DeleteRange(ObjectFamily family, uint64_t k1);
+  /// Number of live (non-tombstone) objects of `family` under `k1`.
+  size_t LiveCount(ObjectFamily family, uint64_t k1) const;
 
   /// Versioned read for the wire's want_version path and the scrubber:
-  /// resolves the key of any get-opcode Request. Returns the entry
-  /// (tombstones included, with their generation) or nullopt if the key
-  /// is absent entirely. Non-get opcodes return nullopt.
-  std::optional<Versioned> GetVersioned(const Request& get) const;
+  /// the entry (tombstones included, with their generation) or nullopt
+  /// if the key is absent entirely.
+  std::optional<Versioned> GetVersioned(const ObjectKey& key) const;
 
   /// Every entry in the store, tombstones included, with generations.
   /// Snapshot-consistent per shard, not across shards — exactly what the
@@ -176,7 +132,7 @@ class ObjectStore {
   /// purge). Returns whether it was removed. Deliberately NOT WAL-logged
   /// by callers: replay may resurrect a purged tombstone, which is
   /// harmless — the next full-quorum scrub pass re-collects it.
-  bool RemoveTombstone(const ObjectRef& ref, uint64_t gen);
+  bool RemoveTombstone(const ObjectKey& key, uint64_t gen);
 
   /// Aggregates the per-shard counters (shared-locking one shard at a
   /// time, so the result is a consistent per-shard but not cross-shard
@@ -185,27 +141,21 @@ class ObjectStore {
 
   size_t shard_count() const { return shards_.size(); }
 
-  /// Whole-store snapshot/restore (the daemon's persistence format). The
-  /// store only ever holds ciphertext, so the snapshot file is as opaque
-  /// to its holder as the live store is to the SSP. The snapshot is
-  /// byte-deterministic (globally key-sorted) regardless of shard count.
-  /// Format v2 carries per-entry generations and tombstones; v1 (gen-less)
-  /// snapshots still load, entering every blob at generation 1.
+  /// Whole-store snapshot/restore (the WAL's compaction image). The
+  /// store only ever holds ciphertext, so the snapshot is as opaque to
+  /// its holder as the live store is to the SSP. The snapshot is
+  /// byte-deterministic (globally key-sorted) regardless of shard count,
+  /// and carries every entry's generation and tombstone flag.
   Bytes Serialize() const;
   static Result<ObjectStore> Deserialize(const Bytes& data);
-  /// File-level convenience used by sharoes_sspd --store.
-  Status SaveToFile(const std::string& path) const;
-  static Result<ObjectStore> LoadFromFile(const std::string& path);
 
   // --- Fault injection (the "malicious SSP" of the threat model) ---
-  /// XORs `mask` into one byte of a stored metadata replica. Returns false
-  /// if absent.
-  bool CorruptMetadata(fs::InodeNum inode, Selector sel, size_t offset,
-                       uint8_t mask = 0xFF);
-  bool CorruptData(fs::InodeNum inode, uint32_t block, size_t offset,
-                   uint8_t mask = 0xFF);
-  /// Replaces a data block wholesale (rollback / substitution attack).
-  bool ReplaceData(fs::InodeNum inode, uint32_t block, Bytes blob);
+  /// XORs `mask` into one byte of a stored blob. Returns false if the
+  /// key is absent or holds no bytes.
+  bool Corrupt(const ObjectKey& key, size_t offset, uint8_t mask = 0xFF);
+  /// Replaces a live blob wholesale (rollback / substitution attack),
+  /// keeping its generation.
+  bool Replace(const ObjectKey& key, Bytes blob);
 
  private:
   /// One stored value: blob + generation + liveness. Tombstones keep an
@@ -216,23 +166,15 @@ class ObjectStore {
     bool tombstone = false;
   };
 
-  // One stripe of the store. Every map in the shard is guarded by `mu`,
-  // as are the accounting counters (no atomics needed).
+  // One stripe of the store. The map and the accounting counters are
+  // guarded by `mu` (no atomics needed).
   struct Shard {
     mutable std::shared_mutex mu;
-    std::map<uint32_t, Entry> superblocks;
-    std::map<std::pair<fs::InodeNum, Selector>, Entry> metadata;
-    std::map<std::pair<fs::InodeNum, uint32_t>, Entry> user_metadata;
-    std::map<std::pair<fs::InodeNum, uint32_t>, Entry> data;
-    std::map<std::pair<uint32_t, uint32_t>, Entry> group_keys;
+    std::map<ObjectKey, Entry> entries;
     StorageStats stats;
   };
 
-  Shard& ShardFor(uint64_t key) const;
-  /// Snapshot restore: inserts an entry with its exact generation and
-  /// liveness (no bump, no gating).
-  void RestoreEntry(ObjectFamily family, uint64_t k1, uint64_t k2,
-                    Bytes blob, uint64_t gen, bool tombstone);
+  Shard& ShardFor(uint64_t k1) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   bool tombstones_enabled_ = false;

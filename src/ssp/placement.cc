@@ -29,21 +29,17 @@ uint64_t PlacementHash(uint64_t seed, uint64_t value) {
   return x ^ (x >> 31);
 }
 
-uint64_t RoutingKeyOf(const Request& req) {
-  switch (req.op) {
-    case OpCode::kGetSuperblock:
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-      return kUserDomain | req.user;
-    case OpCode::kGetGroupKey:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      return kGroupDomain | req.group;
+uint64_t RoutingKeyOf(const ObjectKey& key) {
+  switch (key.family) {
+    case ObjectFamily::kSuperblock:
+      return kUserDomain | key.k1;
+    case ObjectFamily::kGroupKey:
+      return kGroupDomain | key.k1;
     default:
-      // Every remaining store op is inode-scoped (metadata replicas,
-      // split blocks, data blocks, the per-inode deletes), so the whole
-      // object colocates on one replica set.
-      return req.inode;
+      // Every remaining family is inode-scoped (metadata replicas, split
+      // blocks, data blocks), so the whole object colocates on one
+      // replica set.
+      return key.k1;
   }
 }
 

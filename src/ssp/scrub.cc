@@ -7,112 +7,18 @@
 
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "util/binary_io.h"
 
 namespace sharoes::ssp {
 
 namespace {
-
-/// The versioned read for one enumerated key.
-Request MakeGet(const ObjectRef& ref) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock:
-      return Request::GetSuperblock(static_cast<uint32_t>(ref.k1));
-    case ObjectFamily::kMetadata:
-      return Request::GetMetadata(ref.k1, ref.k2);
-    case ObjectFamily::kUserMetadata:
-      return Request::GetUserMetadata(ref.k1, static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kData:
-      return Request::GetData(ref.k1, static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kGroupKey:
-      return Request::GetGroupKey(static_cast<uint32_t>(ref.k1),
-                                  static_cast<uint32_t>(ref.k2));
-  }
-  return Request{};
-}
-
-/// The gen-gated repair verbs per family (mirrors the client channel's
-/// MakeRepairPut/MakeRepairDelete).
-Request MakePut(const ObjectRef& ref, Bytes blob) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock:
-      return Request::PutSuperblock(static_cast<uint32_t>(ref.k1),
-                                    std::move(blob));
-    case ObjectFamily::kMetadata:
-      return Request::PutMetadata(ref.k1, ref.k2, std::move(blob));
-    case ObjectFamily::kUserMetadata:
-      return Request::PutUserMetadata(ref.k1, static_cast<uint32_t>(ref.k2),
-                                      std::move(blob));
-    case ObjectFamily::kData:
-      return Request::PutData(ref.k1, static_cast<uint32_t>(ref.k2),
-                              std::move(blob));
-    case ObjectFamily::kGroupKey:
-      return Request::PutGroupKey(static_cast<uint32_t>(ref.k1),
-                                  static_cast<uint32_t>(ref.k2),
-                                  std::move(blob));
-  }
-  return Request{};
-}
-
-Request MakeDelete(const ObjectRef& ref) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock:
-      return Request::DeleteSuperblock(static_cast<uint32_t>(ref.k1));
-    case ObjectFamily::kMetadata:
-      return Request::DeleteMetadata(ref.k1, ref.k2);
-    case ObjectFamily::kUserMetadata:
-      return Request::DeleteUserMetadata(ref.k1,
-                                         static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kData:
-      return Request::DeleteData(ref.k1, static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kGroupKey:
-      return Request::DeleteGroupKey(static_cast<uint32_t>(ref.k1),
-                                     static_cast<uint32_t>(ref.k2));
-  }
-  return Request{};
-}
 
 /// One replica's decoded versioned answer for one key.
 struct ReplicaView {
   uint32_t node_index = 0;
   bool self = false;
   bool replied = false;
-  RespStatus status = RespStatus::kNotFound;
-  Bytes payload;      // Live blob, generation suffix stripped.
-  uint64_t gen = 0;
+  VersionedReply reply;
 };
-
-uint64_t TrailingGen(const Bytes& payload) {
-  if (payload.size() < 8) return 0;
-  BinaryReader r(payload.data() + payload.size() - 8, 8);
-  uint64_t gen = r.GetU64();
-  return r.ok() ? gen : 0;
-}
-
-void DecodeVersioned(const Response& resp, ReplicaView* view) {
-  switch (resp.status) {
-    case RespStatus::kOk:
-      view->replied = true;
-      view->status = RespStatus::kOk;
-      view->gen = TrailingGen(resp.payload);
-      view->payload = resp.payload;
-      if (view->payload.size() >= 8) {
-        view->payload.resize(view->payload.size() - 8);
-      }
-      return;
-    case RespStatus::kNotFound:
-      view->replied = true;
-      view->status = RespStatus::kNotFound;
-      return;
-    case RespStatus::kDeleted:
-      view->replied = true;
-      view->status = RespStatus::kDeleted;
-      view->gen = TrailingGen(resp.payload);
-      return;
-    default:
-      return;  // kError/kWrongShard/...: not a usable reply.
-  }
-}
 
 }  // namespace
 
@@ -151,8 +57,8 @@ ScrubPass Scrubber::RunOnce() {
   // key is then re-read versioned from every replica, so entries that
   // changed since the listing are judged on fresh state.
   for (const ObjectVersion& entry : server_->store().ListVersions()) {
-    Request get = MakeGet(entry.ref);
-    const uint64_t key = RoutingKeyOf(get);
+    Request get = Request::Get(entry.key);
+    const uint64_t key = RoutingKeyOf(entry.key);
     // Strays from an older ring epoch: their current owners scrub them.
     if (!ring_->Owns(node_id_, key)) continue;
     ++pass.examined;
@@ -166,7 +72,7 @@ ScrubPass Scrubber::RunOnce() {
       view.node_index = replicas[pos];
       view.self = config.nodes[replicas[pos]].id == node_id_;
       auto resp = replica_call(replicas[pos], get);
-      if (resp.ok()) DecodeVersioned(*resp, &view);
+      view.replied = resp.ok() && DecodeVersionedReply(*resp, &view.reply);
       if (!view.replied) {
         all_replied = false;
         ++pass.unreachable;
@@ -178,8 +84,9 @@ ScrubPass Scrubber::RunOnce() {
     // DESIGN.md §16).
     uint64_t max_gen = 0;
     for (const ReplicaView& v : views) {
-      if (v.replied && v.status != RespStatus::kNotFound && v.gen > max_gen) {
-        max_gen = v.gen;
+      if (v.replied && v.reply.status != RespStatus::kNotFound &&
+          v.reply.gen > max_gen) {
+        max_gen = v.reply.gen;
       }
     }
     bool deleted_wins = false;
@@ -187,13 +94,13 @@ ScrubPass Scrubber::RunOnce() {
     bool live_ambiguous = false;
     for (const ReplicaView& v : views) {
       if (!v.replied) continue;
-      if (v.status == RespStatus::kDeleted && v.gen == max_gen) {
+      if (v.reply.status == RespStatus::kDeleted && v.reply.gen == max_gen) {
         deleted_wins = true;
       }
-      if (v.status == RespStatus::kOk && v.gen == max_gen) {
+      if (v.reply.status == RespStatus::kOk && v.reply.gen == max_gen) {
         if (live_winner == nullptr) {
           live_winner = &v;
-        } else if (v.payload != live_winner->payload) {
+        } else if (v.reply.payload != live_winner->reply.payload) {
           // Same generation, different bytes: diverged histories with
           // no local evidence to rank them. Leave the key for a client
           // read (which has session fingerprints) rather than guess —
@@ -222,9 +129,9 @@ ScrubPass Scrubber::RunOnce() {
       // re-creating the tombstone there would fight GC forever).
       bool any_live = false;
       for (const ReplicaView& v : views) {
-        if (v.replied && v.status == RespStatus::kOk) {
+        if (v.replied && v.reply.status == RespStatus::kOk) {
           any_live = true;
-          repair(v, MakeDelete(entry.ref));
+          repair(v, Request::Delete(entry.key));
         }
       }
       // GC: only with a FULL quorum of replies, none of them live. One
@@ -234,8 +141,8 @@ ScrubPass Scrubber::RunOnce() {
       // aborts inside RemoveTombstone).
       if (all_replied && !any_live) {
         for (const ReplicaView& v : views) {
-          if (v.self && v.status == RespStatus::kDeleted &&
-              server_->store().RemoveTombstone(entry.ref, v.gen)) {
+          if (v.self && v.reply.status == RespStatus::kDeleted &&
+              server_->store().RemoveTombstone(entry.key, v.reply.gen)) {
             ++pass.tombstones_gc;
           }
         }
@@ -246,15 +153,15 @@ ScrubPass Scrubber::RunOnce() {
     if (live_winner != nullptr && !live_ambiguous) {
       for (const ReplicaView& v : views) {
         if (!v.replied || &v == live_winner) continue;
-        const bool current = v.status == RespStatus::kOk &&
-                             v.gen == max_gen &&
-                             v.payload == live_winner->payload;
+        const bool current = v.reply.status == RespStatus::kOk &&
+                             v.reply.gen == max_gen &&
+                             v.reply.payload == live_winner->reply.payload;
         if (current) continue;
         // Stale live copy, lower-generation tombstone (a legitimate
         // delete-then-recreate), or missing: re-put the winner at its
         // generation. Gen-gating on the receiving store protects any
         // concurrent fresher op.
-        repair(v, MakePut(entry.ref, live_winner->payload));
+        repair(v, Request::Put(entry.key, live_winner->reply.payload));
       }
     }
   }

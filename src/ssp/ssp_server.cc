@@ -14,11 +14,6 @@
 namespace sharoes::ssp {
 
 namespace {
-Response FromOptional(std::optional<Bytes> blob) {
-  if (!blob.has_value()) return Response::NotFound();
-  return Response::Ok(std::move(*blob));
-}
-
 /// Serving-path metrics, shared by every SspServer in the process (they
 /// all record into the global registry; pointers are resolved once and
 /// the record path is lock-free). See DESIGN.md §9 for the name scheme.
@@ -86,9 +81,10 @@ void SspServer::RegisterStoreGauges() {
       [store] { return store->Stats().total_bytes(); }));
   store_gauges_.push_back(reg.AddGauge(
       "ssp.store.metadata_bytes",
-      [store] { return store->Stats().metadata_bytes; }));
+      [store] { return store->Stats().bytes(ObjectFamily::kMetadata); }));
   store_gauges_.push_back(reg.AddGauge(
-      "ssp.store.data_bytes", [store] { return store->Stats().data_bytes; }));
+      "ssp.store.data_bytes",
+      [store] { return store->Stats().bytes(ObjectFamily::kData); }));
   store_gauges_.push_back(reg.AddGauge(
       "ssp.store.tombstones",
       [store] { return store->Stats().tombstone_count; }));
@@ -242,11 +238,11 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
   if (const PlacementRing* ring =
           placement_.load(std::memory_order_acquire)) {
     if (IsBatchableOp(req.op) &&
-        !ring->Owns(placement_node_, RoutingKeyOf(req))) {
+        !ring->Owns(placement_node_, RoutingKeyOf(req.key))) {
       Metrics().wrong_shard->Increment();
       obs::Log(obs::Severity::kWarn, "ssp.wrong_shard",
                {{"op", OpCodeName(req.op)},
-                {"inode", req.inode},
+                {"k1", req.key.k1},
                 {"trace", obs::TraceIdHex(obs::CurrentTrace().trace_id)}});
       return Response::WrongShard();
     }
@@ -294,48 +290,22 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
     // kGetStats (the collector snapshot never blocks publishers).
     return Response::Ok(ToBytes(obs::SpanCollector::Global().ToJson()));
   }
+  if (req.op != OpCode::kGet) {
+    return Response::BadRequest();  // kBatch is handled by Handle().
+  }
   obs::PhaseScope store_phase(obs::Phase::kStore);
   if (want_version) {
-    switch (req.op) {
-      case OpCode::kGetSuperblock:
-      case OpCode::kGetMetadata:
-      case OpCode::kGetUserMetadata:
-      case OpCode::kGetData:
-      case OpCode::kGetGroupKey: {
-        // Versioned read (quorum/repair/scrub path): expose the entry's
-        // generation, and distinguish "deleted" (tombstone, comparable)
-        // from "never heard of it" (plain kNotFound).
-        auto v = store_.GetVersioned(req);
-        if (!v.has_value()) return Response::NotFound();
-        if (v->tombstone) return Response::Deleted(v->gen);
-        Response resp = Response::Ok(std::move(v->blob));
-        BinaryWriter w;
-        w.PutU64(v->gen);
-        const Bytes& suffix = w.data();
-        resp.payload.insert(resp.payload.end(), suffix.begin(), suffix.end());
-        return resp;
-      }
-      default:
-        break;
-    }
+    // Versioned read (quorum/repair/scrub path): expose the entry's
+    // generation, and distinguish "deleted" (tombstone, comparable) from
+    // "never heard of it" (plain kNotFound).
+    auto v = store_.GetVersioned(req.key);
+    if (!v.has_value()) return Response::NotFound();
+    if (v->tombstone) return Response::Deleted(v->gen);
+    return Response::Versioned(std::move(v->blob), v->gen);
   }
-  switch (req.op) {
-    case OpCode::kGetSuperblock:
-      return FromOptional(store_.GetSuperblock(req.user));
-    case OpCode::kGetMetadata:
-      return FromOptional(store_.GetMetadata(req.inode, req.selector));
-    case OpCode::kGetUserMetadata:
-      return FromOptional(store_.GetUserMetadata(req.inode, req.user));
-    case OpCode::kGetData:
-      return FromOptional(store_.GetData(req.inode, req.block));
-    case OpCode::kGetGroupKey:
-      return FromOptional(store_.GetGroupKey(req.group, req.user));
-    case OpCode::kBatch:
-      return Response::BadRequest();  // Handled by Handle().
-    default:
-      // Mutating ops were dispatched above; anything else is invalid.
-      return Response::BadRequest();
-  }
+  auto blob = store_.Get(req.key);
+  if (!blob.has_value()) return Response::NotFound();
+  return Response::Ok(std::move(*blob));
 }
 
 Result<Response> SspConnection::Call(const Request& req) {

@@ -228,41 +228,14 @@ Status ApplyWalOp(const Request& op, ObjectStore* store) {
   // (bump the local generation).
   const uint64_t gen = op.has_store_gen ? op.store_gen : 0;
   switch (op.op) {
-    case OpCode::kPutSuperblock:
-      store->PutSuperblock(op.user, op.payload, gen);
+    case OpCode::kPut:
+      store->Put(op.key, op.payload, gen);
       return Status::OK();
-    case OpCode::kDeleteSuperblock:
-      store->DeleteSuperblock(op.user, gen);
+    case OpCode::kDelete:
+      store->Delete(op.key, gen);
       return Status::OK();
-    case OpCode::kPutMetadata:
-      store->PutMetadata(op.inode, op.selector, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteMetadata:
-      store->DeleteMetadata(op.inode, op.selector, gen);
-      return Status::OK();
-    case OpCode::kDeleteInodeMetadata:
-      store->DeleteInodeMetadata(op.inode);
-      return Status::OK();
-    case OpCode::kPutUserMetadata:
-      store->PutUserMetadata(op.inode, op.user, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteUserMetadata:
-      store->DeleteUserMetadata(op.inode, op.user, gen);
-      return Status::OK();
-    case OpCode::kPutData:
-      store->PutData(op.inode, op.block, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteData:
-      store->DeleteData(op.inode, op.block, gen);
-      return Status::OK();
-    case OpCode::kDeleteInodeData:
-      store->DeleteInodeData(op.inode);
-      return Status::OK();
-    case OpCode::kPutGroupKey:
-      store->PutGroupKey(op.group, op.user, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteGroupKey:
-      store->DeleteGroupKey(op.group, op.user, gen);
+    case OpCode::kDeleteRange:
+      store->DeleteRange(op.key.family, op.key.k1);
       return Status::OK();
     default:
       return Status::Corruption("non-mutating op in WAL record");
@@ -422,7 +395,11 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
   uint64_t applied_through = 0;
   auto snap = LoadSnapshot(JoinDir(dir, kSnapshotName));
   if (snap.ok()) {
+    // The image carries entries, not configuration: keep the caller's
+    // tombstone mode across the swap.
+    const bool tombstones = store->tombstones_enabled();
     *store = std::move(snap->store);
+    store->set_tombstones_enabled(tombstones);
     applied_through = snap->covered_seq;
     wal->recovery_.had_snapshot = true;
     wal->recovery_.snapshot_seq = snap->covered_seq;

@@ -83,7 +83,10 @@ struct WalRecoveryInfo {
 
 inline constexpr uint32_t kWalMagic = 0x314C5753;      // "SWL1".
 inline constexpr uint32_t kWalSnapshotMagic = 0x314E5353;  // "SSN1".
-inline constexpr uint32_t kWalVersion = 1;
+// Version 2: records carry the typed-key request encoding and snapshots
+// the single-map store image. Version-1 segments and snapshots are
+// refused as Corruption("unsupported ...").
+inline constexpr uint32_t kWalVersion = 2;
 inline constexpr size_t kWalSegmentHeaderSize = 16;  // magic+version+base.
 inline constexpr size_t kWalRecordHeaderSize = 8;    // len + crc.
 /// Upper bound on one record's framed body (seq + payload). A request
@@ -100,11 +103,10 @@ Bytes EncodeWalSegmentHeader(uint64_t base_seq);
 /// `len | crc | seq | payload` with crc over (seq | payload).
 Bytes EncodeWalRecord(uint64_t seq, const Bytes& payload);
 
-/// True iff the opcode mutates the store (and therefore must be logged).
-/// Declared in message.h as IsMutatingOp; re-exported here for locality.
-
-/// Applies one logged op to the store. Returns Corruption for ops that
-/// have no business in a log (reads, batch wrappers, stats).
+/// Applies one mutating op (IsMutatingOp) to the store — the one apply
+/// path shared by the live server, log replay, and local provisioning.
+/// Returns Corruption for ops that have no business in a log (reads,
+/// batch wrappers, stats).
 Status ApplyWalOp(const Request& op, ObjectStore* store);
 
 /// Outcome of replaying one segment's bytes.

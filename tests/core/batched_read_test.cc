@@ -169,14 +169,15 @@ TEST(BatchedReadTest, MultiGetValidatesSubOps) {
 
   // Mutations may not ride MultiGet (they would bypass ExecuteBatch's
   // failure reporting), and neither may admin ops.
-  auto r = alice.MultiGet({ssp::Request::PutData(1, 0, {1})});
+  auto r = alice.MultiGet({ssp::Request::Put(ssp::ObjectKey::Data(1, 0), {1})});
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status();
   r = alice.MultiGet({ssp::Request::GetStats()});
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << r.status();
 
   // A well-formed get batch answers per-sub-op, misses included.
   r = alice.MultiGet(
-      {ssp::Request::GetData(999999, 0), ssp::Request::GetData(999999, 1)});
+      {ssp::Request::Get(ssp::ObjectKey::Data(999999, 0)),
+       ssp::Request::Get(ssp::ObjectKey::Data(999999, 1))});
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->size(), 2u);
   EXPECT_EQ((*r)[0].status, ssp::RespStatus::kNotFound);
@@ -185,8 +186,8 @@ TEST(BatchedReadTest, MultiGetValidatesSubOps) {
 
 TEST(BatchedReadTest, TransientFaultIsUnavailableNotNotFound) {
   // Regression (the PR 5 bugfix): FetchFileContent used to treat *any*
-  // non-ok GetData as "data block missing" — an injected kError on block
-  // 0 silently read back as an EMPTY FILE. A transient fault must
+  // non-ok data-block get as "data block missing" — an injected kError on
+  // block 0 silently read back as an EMPTY FILE. A transient fault must
   // surface as Unavailable (retryable), never as NotFound or truncation.
   for (bool batch_reads : {false, true}) {
     World world(BatchedOpts(batch_reads));

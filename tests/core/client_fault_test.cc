@@ -1,7 +1,7 @@
 // End-to-end transport fault tolerance: a SharoesClient behind a
 // RetryingConnection completes an Andrew-style op sequence with
 // byte-identical results while the daemon is killed/restarted
-// mid-workload (the `sharoes_sspd --store FILE` lifecycle) and a
+// mid-workload (the `sharoes_sspd --wal DIR` lifecycle) and a
 // seed-deterministic FaultPolicy injects per-request errors and delays.
 // With retries disabled the same schedule fails. Also pins down the two
 // boundary contracts retry relies on: every SSP op is idempotent, and
@@ -12,8 +12,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,36 +48,49 @@ using sharoes::testing::TcpFactory;
 class ClientFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_path_ = ::testing::TempDir() + "sharoes_client_fault_" +
-                  std::to_string(::getpid()) + "_" +
-                  ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name() +
-                  ".store";
-    std::remove(store_path_.c_str());
-    daemon_ = std::make_unique<RestartableDaemon>(store_path_);
+    wal_dir_ = ::testing::TempDir() + "sharoes_client_fault_" +
+               std::to_string(::getpid()) + "_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               ".wal";
+    std::filesystem::remove_all(wal_dir_);
+    RestartableDaemon::Options opts;
+    opts.wal_dir = wal_dir_;
+    daemon_ = std::make_unique<RestartableDaemon>(opts);
     daemon_->Start();
     enterprise_ = ProvisionOverTcp(daemon_.get());
-    // Snapshot the provisioned world; every run restarts from it.
+    // Keep the provisioned world's log directory (a graceful Kill folds
+    // it into one snapshot); every run restarts from it.
     daemon_->Kill();
-    auto golden = SlurpFile(store_path_);
-    ASSERT_TRUE(golden.ok()) << golden.status();
-    golden_store_ = std::move(*golden);
+    for (const auto& entry : std::filesystem::directory_iterator(wal_dir_)) {
+      auto bytes = SlurpFile(entry.path().string());
+      ASSERT_TRUE(bytes.ok()) << bytes.status();
+      golden_wal_[entry.path().filename().string()] = std::move(*bytes);
+    }
   }
 
   void TearDown() override {
     daemon_.reset();
-    std::remove(store_path_.c_str());
+    std::filesystem::remove_all(wal_dir_);
   }
 
   void ResetToGolden() {
-    ASSERT_TRUE(SpillFile(store_path_, golden_store_).ok());
+    std::filesystem::remove_all(wal_dir_);
+    std::filesystem::create_directories(wal_dir_);
+    for (const auto& [name, bytes] : golden_wal_) {
+      ASSERT_TRUE(SpillFile(wal_dir_ + "/" + name, bytes).ok());
+    }
   }
 
-  std::string store_path_;
+  /// The live daemon's store image; read it before Kill() drops the
+  /// server.
+  Bytes StoreImage() { return daemon_->server()->store().Serialize(); }
+
+  std::string wal_dir_;
   std::unique_ptr<RestartableDaemon> daemon_;
   std::unique_ptr<Enterprise> enterprise_;
-  Bytes golden_store_;
+  std::map<std::string, Bytes> golden_wal_;
 };
 
 TEST_F(ClientFaultTest, AndrewSequenceSurvivesFaultsAndRestarts) {
@@ -175,10 +189,8 @@ TEST_F(ClientFaultTest, StatsPollingNeverPerturbsTheWorkload) {
     auto transcript = RunAndrewSequence(client.get());
     ASSERT_TRUE(transcript.ok()) << transcript.status();
     reference = std::move(*transcript);
+    reference_store = StoreImage();
     daemon_->Kill();
-    auto stored = SlurpFile(store_path_);
-    ASSERT_TRUE(stored.ok());
-    reference_store = std::move(*stored);
   }
 
   ResetToGolden();
@@ -211,10 +223,8 @@ TEST_F(ClientFaultTest, StatsPollingNeverPerturbsTheWorkload) {
   ASSERT_TRUE(transcript.ok()) << transcript.status();
   EXPECT_EQ(*transcript, reference);
   EXPECT_GT(polls.load(), 0u) << "poller never landed a stats snapshot";
+  EXPECT_EQ(StoreImage(), reference_store);
   daemon_->Kill();
-  auto polled_store = SlurpFile(store_path_);
-  ASSERT_TRUE(polled_store.ok());
-  EXPECT_EQ(*polled_store, reference_store);
 }
 
 TEST_F(ClientFaultTest, WithoutRetriesTheSameScheduleFails) {
@@ -306,12 +316,12 @@ TEST(RetryingConnectionTest, RetriesTransientServerErrors) {
         return std::unique_ptr<ssp::SspChannel>(std::move(*c));
       },
       retry);
-  auto resp = conn.Call(ssp::Request::PutMetadata(1, 0, {5}));
+  auto resp = conn.Call(ssp::Request::Put(ssp::ObjectKey::Metadata(1, 0), {5}));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_TRUE(resp->ok());
   EXPECT_EQ(conn.retries(), 2u);
   EXPECT_EQ(conn.reconnects(), 0u);  // kError keeps the socket healthy.
-  EXPECT_TRUE(server.store().GetMetadata(1, 0).has_value());
+  EXPECT_TRUE(server.store().Get(ssp::ObjectKey::Metadata(1, 0)).has_value());
   (*daemon)->Shutdown();
 }
 
@@ -333,7 +343,7 @@ TEST(RetryingConnectionTest, ReconnectsAfterSeveredConnection) {
         return std::unique_ptr<ssp::SspChannel>(std::move(*c));
       },
       retry);
-  auto resp = conn.Call(ssp::Request::PutMetadata(2, 0, {6}));
+  auto resp = conn.Call(ssp::Request::Put(ssp::ObjectKey::Metadata(2, 0), {6}));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_TRUE(resp->ok());
   EXPECT_GE(conn.reconnects(), 1u);
@@ -361,7 +371,7 @@ TEST(RetryingConnectionTest, FactoryFailuresAreRetriedToo) {
         return std::unique_ptr<ssp::SspChannel>(std::move(*c));
       },
       retry);
-  auto resp = conn.Call(ssp::Request::GetMetadata(1, 0));
+  auto resp = conn.Call(ssp::Request::Get(ssp::ObjectKey::Metadata(1, 0)));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_EQ(resp->status, ssp::RespStatus::kNotFound);
   EXPECT_EQ(conn.retries(), 2u);
@@ -380,7 +390,7 @@ TEST(RetryingConnectionTest, NonRetryableErrorsSurfaceImmediately) {
         return Status::InvalidArgument("bad host");
       },
       retry);
-  auto resp = conn.Call(ssp::Request::GetMetadata(1, 0));
+  auto resp = conn.Call(ssp::Request::Get(ssp::ObjectKey::Metadata(1, 0)));
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(factory_calls, 1);  // No retry on a caller error.
@@ -394,36 +404,28 @@ TEST(RetryIdempotence, EveryOpcodeIsSafeToReplay) {
   // match the original's. Every non-batch opcode plus a batch is
   // replayed here; if a future opcode breaks this test it must not ride
   // RetryingConnection without a request-id dedup layer.
-  // Two delete shapes have no convenience constructor; build them raw.
-  ssp::Request delete_superblock;
-  delete_superblock.op = ssp::OpCode::kDeleteSuperblock;
-  delete_superblock.user = 1;
-  ssp::Request delete_user_metadata;
-  delete_user_metadata.op = ssp::OpCode::kDeleteUserMetadata;
-  delete_user_metadata.inode = 10;
-  delete_user_metadata.user = 2;
-
   std::vector<ssp::Request> ops;
-  ops.push_back(ssp::Request::PutSuperblock(1, {1, 2, 3}));
-  ops.push_back(ssp::Request::GetSuperblock(1));
-  ops.push_back(ssp::Request::PutMetadata(10, 4, {9, 9}));
-  ops.push_back(ssp::Request::PutMetadata(10, 5, {8}));
-  ops.push_back(ssp::Request::GetMetadata(10, 4));
-  ops.push_back(ssp::Request::DeleteMetadata(10, 5));
-  ops.push_back(ssp::Request::PutUserMetadata(10, 2, {7}));
-  ops.push_back(ssp::Request::GetUserMetadata(10, 2));
-  ops.push_back(ssp::Request::PutData(10, 0, {1, 1}));
-  ops.push_back(ssp::Request::PutData(10, 1, {2, 2}));
-  ops.push_back(ssp::Request::GetData(10, 1));
-  ops.push_back(ssp::Request::PutGroupKey(5, 2, {3}));
-  ops.push_back(ssp::Request::GetGroupKey(5, 2));
-  ops.push_back(ssp::Request::Batch({ssp::Request::PutMetadata(11, 0, {4}),
-                                     ssp::Request::PutData(11, 0, {5})}));
-  ops.push_back(ssp::Request::DeleteGroupKey(5, 2));
-  ops.push_back(delete_user_metadata);
-  ops.push_back(ssp::Request::DeleteInodeData(10));
-  ops.push_back(ssp::Request::DeleteInodeMetadata(10));
-  ops.push_back(delete_superblock);
+  ops.push_back(ssp::Request::Put(ssp::ObjectKey::Superblock(1), {1, 2, 3}));
+  ops.push_back(ssp::Request::Get(ssp::ObjectKey::Superblock(1)));
+  ops.push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(10, 4), {9, 9}));
+  ops.push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(10, 5), {8}));
+  ops.push_back(ssp::Request::Get(ssp::ObjectKey::Metadata(10, 4)));
+  ops.push_back(ssp::Request::Delete(ssp::ObjectKey::Metadata(10, 5)));
+  ops.push_back(ssp::Request::Put(ssp::ObjectKey::UserMetadata(10, 2), {7}));
+  ops.push_back(ssp::Request::Get(ssp::ObjectKey::UserMetadata(10, 2)));
+  ops.push_back(ssp::Request::Put(ssp::ObjectKey::Data(10, 0), {1, 1}));
+  ops.push_back(ssp::Request::Put(ssp::ObjectKey::Data(10, 1), {2, 2}));
+  ops.push_back(ssp::Request::Get(ssp::ObjectKey::Data(10, 1)));
+  ops.push_back(ssp::Request::Put(ssp::ObjectKey::GroupKey(5, 2), {3}));
+  ops.push_back(ssp::Request::Get(ssp::ObjectKey::GroupKey(5, 2)));
+  ops.push_back(ssp::Request::Batch(
+      {ssp::Request::Put(ssp::ObjectKey::Metadata(11, 0), {4}),
+       ssp::Request::Put(ssp::ObjectKey::Data(11, 0), {5})}));
+  ops.push_back(ssp::Request::Delete(ssp::ObjectKey::GroupKey(5, 2)));
+  ops.push_back(ssp::Request::Delete(ssp::ObjectKey::UserMetadata(10, 2)));
+  ops.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData, 10));
+  ops.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kMetadata, 10));
+  ops.push_back(ssp::Request::Delete(ssp::ObjectKey::Superblock(1)));
 
   ssp::SspServer once, twice;
   for (const ssp::Request& req : ops) {

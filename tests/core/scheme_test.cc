@@ -91,18 +91,22 @@ TEST(SchemeStructureTest, Scheme1ReplicatesPerUser) {
   // Scheme-1: one replica per registered user (6).
   auto attrs1 = w1.client(kAlice).Getattr("/home/alice/public.txt");
   ASSERT_TRUE(attrs1.ok());
-  EXPECT_EQ(w1.server().store().MetadataReplicaCount(attrs1->inode), 6u);
+  EXPECT_EQ(
+      w1.server().store().LiveCount(ssp::ObjectFamily::kMetadata,
+                                    attrs1->inode),
+      6u);
 
   // Scheme-2: one replica per non-empty class.
   auto attrs2 = w2.client(kAlice).Getattr("/home/alice/public.txt");
   ASSERT_TRUE(attrs2.ok());
-  size_t replicas2 = w2.server().store().MetadataReplicaCount(attrs2->inode);
+  size_t replicas2 = w2.server().store().LiveCount(ssp::ObjectFamily::kMetadata,
+                                                   attrs2->inode);
   EXPECT_LE(replicas2, 3u);
   EXPECT_GE(replicas2, 1u);
 
   // Total metadata storage: Scheme-1 strictly larger.
-  EXPECT_GT(w1.server().store().Stats().metadata_bytes,
-            w2.server().store().Stats().metadata_bytes);
+  EXPECT_GT(w1.server().store().Stats().bytes(ssp::ObjectFamily::kMetadata),
+            w2.server().store().Stats().bytes(ssp::ObjectFamily::kMetadata));
 }
 
 TEST(SchemeStructureTest, Scheme1HasNoSplitBlocks) {

@@ -27,6 +27,7 @@
 namespace sharoes::core {
 namespace {
 
+using ssp::ObjectKey;
 using ssp::Request;
 using ssp::RespStatus;
 using ssp::Response;
@@ -81,7 +82,7 @@ TEST(ShardRouting, BatchSplitsAndRestitchesInSubmissionOrder) {
 
   std::vector<Request> puts;
   for (uint64_t inode : inodes) {
-    puts.push_back(Request::PutData(inode, 0, Payload(inode)));
+    puts.push_back(Request::Put(ObjectKey::Data(inode, 0), Payload(inode)));
   }
   auto put_resp = channel->Call(Request::Batch(std::move(puts)));
   ASSERT_TRUE(put_resp.ok()) << put_resp.status();
@@ -97,8 +98,9 @@ TEST(ShardRouting, BatchSplitsAndRestitchesInSubmissionOrder) {
   // collapsed statuses fails loudly here.
   std::vector<Request> gets;
   for (uint64_t inode : inodes) {
-    gets.push_back(Request::GetData(inode, 0));
-    gets.push_back(Request::GetData(inode + 1000, 0));  // Never written.
+    gets.push_back(Request::Get(ObjectKey::Data(inode, 0)));
+    // Never written.
+    gets.push_back(Request::Get(ObjectKey::Data(inode + 1000, 0)));
   }
   auto get_resp = channel->Call(Request::Batch(std::move(gets)));
   ASSERT_TRUE(get_resp.ok()) << get_resp.status();
@@ -123,8 +125,8 @@ TEST(ShardRouting, WriteThenReadSameKeyInOneBatch) {
   // one sub-batch in submission order, so the get observes the put.
   std::vector<Request> batch;
   for (uint64_t inode = 1; inode <= 12; ++inode) {
-    batch.push_back(Request::PutData(inode, 0, Payload(inode)));
-    batch.push_back(Request::GetData(inode, 0));
+    batch.push_back(Request::Put(ObjectKey::Data(inode, 0), Payload(inode)));
+    batch.push_back(Request::Get(ObjectKey::Data(inode, 0)));
   }
   auto resp = channel->Call(Request::Batch(std::move(batch)));
   ASSERT_TRUE(resp.ok()) << resp.status();
@@ -159,6 +161,28 @@ uint64_t MisroutedInode(const TestCluster& cluster) {
   return 1;
 }
 
+TEST(ShardRouting, HealthyQuorumCallsNeverBackOff) {
+  // Regression: the round loop used to sleep one round backoff (~20 ms)
+  // and count a retry round before noticing that round 0 had already
+  // settled every sub-op, so every successful replicated call paid it.
+  TestCluster::Options opts;  // 3 nodes, K=3, W=R=2.
+  opts.wal = false;
+  opts.tag = "routing_no_backoff";
+  TestCluster cluster(opts);
+  cluster.Start();
+  auto channel = cluster.MakeChannel();
+  ASSERT_NE(channel, nullptr);
+
+  auto put = channel->Call(Request::Put(ObjectKey::Data(7, 0), Payload(7)));
+  ASSERT_TRUE(put.ok()) << put.status();
+  ASSERT_EQ(put->status, RespStatus::kOk);
+  auto get = channel->Call(Request::Get(ObjectKey::Data(7, 0)));
+  ASSERT_TRUE(get.ok()) << get.status();
+  ASSERT_EQ(get->status, RespStatus::kOk);
+  EXPECT_EQ(get->payload, Payload(7));
+  EXPECT_EQ(channel->quorum_retry_rounds(), 0u);
+}
+
 TEST(ShardRouting, WrongShardRefreshesPlacementAndRetriesOnce) {
   TestCluster cluster(Unreplicated("routing_refresh"));
   cluster.Start();
@@ -176,7 +200,8 @@ TEST(ShardRouting, WrongShardRefreshesPlacementAndRetriesOnce) {
   ASSERT_TRUE(channel.ok()) << channel.status();
 
   uint64_t inode = MisroutedInode(cluster);
-  auto put = (*channel)->Call(Request::PutData(inode, 0, Payload(inode)));
+  auto put = (*channel)->Call(Request::Put(ObjectKey::Data(inode, 0),
+                                           Payload(inode)));
   ASSERT_TRUE(put.ok()) << put.status();
   // Not an error: one kWrongShard, one refresh, one retry, success.
   EXPECT_EQ(put->status, RespStatus::kOk);
@@ -184,7 +209,7 @@ TEST(ShardRouting, WrongShardRefreshesPlacementAndRetriesOnce) {
   EXPECT_EQ((*channel)->placement_refreshes(), 1u);
 
   // The healed ring routes follow-ups directly: no further refreshes.
-  auto get = (*channel)->Call(Request::GetData(inode, 0));
+  auto get = (*channel)->Call(Request::Get(ObjectKey::Data(inode, 0)));
   ASSERT_TRUE(get.ok());
   ASSERT_EQ(get->status, RespStatus::kOk);
   EXPECT_EQ(get->payload, Payload(inode));
@@ -203,7 +228,8 @@ TEST(ShardRouting, WrongShardWithoutRefreshSurfaces) {
   // No ConfigSource: the channel cannot self-heal, and looping on a
   // permanently disagreeing ring would hang — the status must surface.
   uint64_t inode = MisroutedInode(cluster);
-  auto put = (*channel)->Call(Request::PutData(inode, 0, Payload(inode)));
+  auto put = (*channel)->Call(Request::Put(ObjectKey::Data(inode, 0),
+                                           Payload(inode)));
   ASSERT_TRUE(put.ok()) << put.status();
   EXPECT_EQ(put->status, RespStatus::kWrongShard);
   EXPECT_EQ((*channel)->placement_refreshes(), 0u);
@@ -289,12 +315,14 @@ TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
   // Dials "node 0" at node 1's address; the ownership gate answers
   // kWrongShard, the refresh swaps the endpoints back, and the same
   // Call must finish against the right daemon.
-  auto put0 = (*channel)->Call(Request::PutData(inode0, 0, Payload(inode0)));
+  auto put0 = (*channel)->Call(Request::Put(ObjectKey::Data(inode0, 0),
+                                            Payload(inode0)));
   ASSERT_TRUE(put0.ok()) << put0.status();
   EXPECT_EQ(put0->status, RespStatus::kOk)
       << "the refreshed slot still dialed the stale endpoint";
   EXPECT_EQ((*channel)->placement_refreshes(), 1u);
-  auto put1 = (*channel)->Call(Request::PutData(inode1, 0, Payload(inode1)));
+  auto put1 = (*channel)->Call(Request::Put(ObjectKey::Data(inode1, 0),
+                                            Payload(inode1)));
   ASSERT_TRUE(put1.ok()) << put1.status();
   EXPECT_EQ(put1->status, RespStatus::kOk);
 
@@ -306,10 +334,10 @@ TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
   // connections; neither the channel count nor the fd table may grow.
   int fd_baseline = OpenFdCount();
   for (int round = 0; round < 5; ++round) {
-    auto get0 = (*channel)->Call(Request::GetData(inode0, 0));
+    auto get0 = (*channel)->Call(Request::Get(ObjectKey::Data(inode0, 0)));
     ASSERT_TRUE(get0.ok());
     EXPECT_EQ(get0->payload, Payload(inode0));
-    auto get1 = (*channel)->Call(Request::GetData(inode1, 0));
+    auto get1 = (*channel)->Call(Request::Get(ObjectKey::Data(inode1, 0)));
     ASSERT_TRUE(get1.ok());
     EXPECT_EQ(get1->payload, Payload(inode1));
   }

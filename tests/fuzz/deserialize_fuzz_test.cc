@@ -94,9 +94,16 @@ TEST(FuzzMutation, BitFlippedValidEncodings) {
     (void)table.Add("hello", 10);
     (void)table.Add("world", 11);
     corpus.push_back(table.Serialize());
-    corpus.push_back(ssp::Request::PutMetadata(1, 2, {1, 2, 3}).Serialize());
     corpus.push_back(
-        ssp::Request::Batch({ssp::Request::GetData(1, 0)}).Serialize());
+        ssp::Request::Put(ssp::ObjectKey::Metadata(1, 2), {1, 2, 3})
+            .Serialize());
+    corpus.push_back(ssp::Request::Batch({ssp::Request::Get(
+                                             ssp::ObjectKey::Data(1, 0))})
+                         .Serialize());
+    corpus.push_back(
+        ssp::Request::Delete(ssp::ObjectKey::GroupKey(500, 7)).Serialize());
+    corpus.push_back(
+        ssp::Request::DeleteRange(ssp::ObjectFamily::kData, 9).Serialize());
     corpus.push_back(ssp::Response::Ok({9, 9}).Serialize());
     core::MasterTable master;
     core::MasterEntry e;
@@ -133,12 +140,10 @@ TEST(FuzzMutation, EmptyAndTinyBuffers) {
 
 Bytes BatchCountLieRequest(uint32_t claimed, size_t padding) {
   BinaryWriter w;
-  w.PutU8(16);  // OpCode::kBatch.
-  w.PutU64(0);  // inode.
-  w.PutU64(0);  // selector.
-  w.PutU32(0);  // user.
-  w.PutU32(0);  // group.
-  w.PutU32(0);  // block.
+  w.PutU8(static_cast<uint8_t>(ssp::OpCode::kBatch));
+  w.PutU8(static_cast<uint8_t>(ssp::ObjectFamily::kData));
+  w.PutU64(0);  // k1.
+  w.PutU64(0);  // k2.
   w.PutBytes({});
   w.PutU32(claimed);
   w.PutRaw(Bytes(padding, 0));
@@ -157,7 +162,9 @@ TEST(BatchCountLie, RequestCountBeyondRemainingBytesIsRejectedFast) {
 
   // The bound must not over-reject: an honest batch still round-trips.
   std::vector<ssp::Request> subs;
-  for (int i = 0; i < 50; ++i) subs.push_back(ssp::Request::GetData(i, 0));
+  for (int i = 0; i < 50; ++i) {
+    subs.push_back(ssp::Request::Get(ssp::ObjectKey::Data(i, 0)));
+  }
   auto honest = ssp::Request::Deserialize(
       ssp::Request::Batch(std::move(subs)).Serialize());
   ASSERT_TRUE(honest.ok()) << honest.status();
@@ -238,10 +245,11 @@ class FrameFuzzTest : public ::testing::Test {
     ASSERT_TRUE(channel.ok()) << channel.status();
     Bytes payload = {static_cast<uint8_t>(round)};
     auto put = (*channel)->Call(
-        ssp::Request::PutMetadata(9000 + round, 0, payload));
+        ssp::Request::Put(ssp::ObjectKey::Metadata(9000 + round, 0), payload));
     ASSERT_TRUE(put.ok()) << put.status();
     EXPECT_TRUE(put->ok());
-    auto get = (*channel)->Call(ssp::Request::GetMetadata(9000 + round, 0));
+    auto get = (*channel)->Call(ssp::Request::Get(ssp::ObjectKey::Metadata(
+        9000 + round, 0)));
     ASSERT_TRUE(get.ok());
     EXPECT_EQ(get->payload, payload);
   }

@@ -47,13 +47,13 @@ Status WriteFile(const std::string& path, const Bytes& data) {
 /// A small, varied corpus of valid mutating ops.
 std::vector<Request> CorpusOps() {
   std::vector<Request> ops;
-  ops.push_back(Request::PutMetadata(7, 3, {1, 2, 3, 4}));
-  ops.push_back(Request::PutData(7, 0, Bytes(100, 0xAB)));
-  ops.push_back(Request::PutSuperblock(42, {9}));
-  ops.push_back(Request::DeleteMetadata(7, 3));
-  ops.push_back(Request::PutGroupKey(500, 42, {5, 6}));
-  ops.push_back(Request::PutUserMetadata(7, 42, {7, 7, 7}));
-  ops.push_back(Request::DeleteInodeData(9));
+  ops.push_back(Request::Put(ObjectKey::Metadata(7, 3), {1, 2, 3, 4}));
+  ops.push_back(Request::Put(ObjectKey::Data(7, 0), Bytes(100, 0xAB)));
+  ops.push_back(Request::Put(ObjectKey::Superblock(42), {9}));
+  ops.push_back(Request::Delete(ObjectKey::Metadata(7, 3)));
+  ops.push_back(Request::Put(ObjectKey::GroupKey(500, 42), {5, 6}));
+  ops.push_back(Request::Put(ObjectKey::UserMetadata(7, 42), {7, 7, 7}));
+  ops.push_back(Request::DeleteRange(ObjectFamily::kData, 9));
   return ops;
 }
 
@@ -245,10 +245,10 @@ TEST(WalFuzz, CrcValidButSemanticallyInvalidRecordsRefuse) {
   // was never written by our appender. Never apply, always Corruption,
   // even as the final record.
   for (const Bytes& payload :
-       {Bytes{0xDE, 0xAD, 0xBE, 0xEF},           // Unparseable.
-        Request::GetMetadata(7, 3).Serialize(),  // Valid but a read.
-        Request::GetStats().Serialize(),         // Valid but admin.
-        Request::Batch({Request::PutMetadata(1, 0, {1})})
+       {Bytes{0xDE, 0xAD, 0xBE, 0xEF},                 // Unparseable.
+        Request::Get(ObjectKey::Metadata(7, 3)).Serialize(),  // A read.
+        Request::GetStats().Serialize(),               // Valid but admin.
+        Request::Batch({Request::Put(ObjectKey::Metadata(1, 0), {1})})
             .Serialize()}) {                     // Batch wrapper.
     Bytes segment = EncodeWalSegmentHeader(0);
     Bytes record = EncodeWalRecord(1, payload);
@@ -266,8 +266,10 @@ TEST(WalFuzz, CrcValidButSemanticallyInvalidRecordsRefuse) {
 
 TEST(WalFuzz, SequenceDiscontinuityIsCorruption) {
   Bytes segment = EncodeWalSegmentHeader(0);
-  Bytes r1 = EncodeWalRecord(1, Request::PutMetadata(1, 0, {1}).Serialize());
-  Bytes r3 = EncodeWalRecord(3, Request::PutMetadata(2, 0, {2}).Serialize());
+  Bytes r1 = EncodeWalRecord(
+      1, Request::Put(ObjectKey::Metadata(1, 0), {1}).Serialize());
+  Bytes r3 = EncodeWalRecord(
+      3, Request::Put(ObjectKey::Metadata(2, 0), {2}).Serialize());
   segment.insert(segment.end(), r1.begin(), r1.end());
   segment.insert(segment.end(), r3.begin(), r3.end());  // Skips seq 2.
   ObjectStore store;
@@ -307,7 +309,8 @@ TEST(WalFuzz, OpenRefusesTornTailInNonFinalSegment) {
   std::vector<Request> ops = CorpusOps();
   Bytes seg1 = BuildSegment(0, ops);
   seg1.resize(seg1.size() - 3);  // Torn — but a later segment exists.
-  Bytes seg2 = BuildSegment(ops.size(), {Request::PutMetadata(99, 0, {1})});
+  Bytes seg2 = BuildSegment(ops.size(),
+                            {Request::Put(ObjectKey::Metadata(99, 0), {1})});
   ASSERT_TRUE(WriteFile(dir + "/wal-00000000000000000000.log", seg1).ok());
   ASSERT_TRUE(
       WriteFile(dir + "/wal-00000000000000000007.log", seg2).ok());
@@ -320,10 +323,10 @@ TEST(WalFuzz, OpenRefusesTornTailInNonFinalSegment) {
 TEST(WalFuzz, OpenRefusesSequenceGapBetweenSegments) {
   std::string dir = FreshDir("chain_gap");
   ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
-  Bytes seg1 = BuildSegment(0, {Request::PutMetadata(1, 0, {1})});
+  Bytes seg1 = BuildSegment(0, {Request::Put(ObjectKey::Metadata(1, 0), {1})});
   // Claims to start at 5, but recovery only reached 1: records 2-5 are
   // missing — refusing beats resurrecting a store with silent holes.
-  Bytes seg2 = BuildSegment(5, {Request::PutMetadata(2, 0, {2})});
+  Bytes seg2 = BuildSegment(5, {Request::Put(ObjectKey::Metadata(2, 0), {2})});
   ASSERT_TRUE(WriteFile(dir + "/wal-00000000000000000000.log", seg1).ok());
   ASSERT_TRUE(WriteFile(dir + "/wal-00000000000000000005.log", seg2).ok());
   ObjectStore store;
@@ -350,7 +353,8 @@ TEST(WalFuzz, OpenTruncatesTornFinalSegmentAndKeepsAppending) {
     recovered_seq = (*wal)->last_sequence();
     EXPECT_EQ(recovered_seq, ops.size() - 1);
     // The log keeps working after the truncation.
-    ASSERT_TRUE((*wal)->Append(Request::PutMetadata(50, 0, {5})).ok());
+    ASSERT_TRUE(
+        (*wal)->Append(Request::Put(ObjectKey::Metadata(50, 0), {5})).ok());
     ASSERT_TRUE((*wal)->Sync().ok());
   }
   // And a second recovery sees the truncated prefix plus the new record.
@@ -359,7 +363,7 @@ TEST(WalFuzz, OpenTruncatesTornFinalSegmentAndKeepsAppending) {
   ASSERT_TRUE(wal.ok()) << wal.status();
   EXPECT_FALSE((*wal)->recovery().tail_truncated);
   EXPECT_EQ((*wal)->last_sequence(), recovered_seq + 1);
-  EXPECT_TRUE(store.GetMetadata(50, 0).has_value());
+  EXPECT_TRUE(store.Get(ObjectKey::Metadata(50, 0)).has_value());
 }
 
 TEST(WalFuzz, OpenRejectsCorruptSnapshot) {
@@ -395,6 +399,81 @@ TEST(WalFuzz, OpenRejectsCorruptSnapshot) {
   auto wal = Wal::Open(dir, WalOptions{}, &store);
   ASSERT_FALSE(wal.ok());
   EXPECT_EQ(wal.status().code(), StatusCode::kCorruption);
+}
+
+/// Opens `dir` and expects the refusal an earlier on-disk version gets.
+void ExpectUnsupported(const std::string& dir) {
+  ObjectStore store;
+  auto wal = Wal::Open(dir, WalOptions{}, &store);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(wal.status().ToString().find("unsupported"), std::string::npos)
+      << wal.status();
+}
+
+TEST(WalFuzz, RefusesEarlierFormatVersions) {
+  // Version-1 segments carried the per-family request encoding; they
+  // are refused, never replayed under the new decoder.
+  {
+    BinaryWriter w;
+    w.PutU32(kWalMagic);
+    w.PutU32(1);
+    w.PutU64(0);
+    Bytes seg = w.Take();
+    Bytes record = EncodeWalRecord(
+        1, Request::Put(ObjectKey::Metadata(1, 0), {1}).Serialize());
+    seg.insert(seg.end(), record.begin(), record.end());
+    ObjectStore store;
+    auto replay = ReplayWalSegment(seg, 0, /*allow_torn_tail=*/true, &store);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_NE(replay.status().ToString().find("unsupported"),
+              std::string::npos);
+    EXPECT_EQ(store.Stats().object_count, 0u);
+    std::string dir = FreshDir("v1_segment");
+    ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
+    ASSERT_TRUE(WriteFile(dir + "/wal-00000000000000000000.log", seg).ok());
+    ExpectUnsupported(dir);
+  }
+  // A version-1 snapshot header.
+  {
+    std::string dir = FreshDir("v1_snapshot");
+    {
+      ObjectStore store;
+      auto wal = Wal::Open(dir, WalOptions{}, &store);
+      ASSERT_TRUE(wal.ok()) << wal.status();
+      for (const Request& op : CorpusOps()) {
+        ASSERT_TRUE((*wal)->Append(op).ok());
+        ASSERT_TRUE(ApplyWalOp(op, &store).ok());
+      }
+      ASSERT_TRUE((*wal)->Compact().ok());
+    }
+    std::string snap_path = dir + "/snapshot";
+    std::FILE* f = std::fopen(snap_path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const uint8_t v1[4] = {1, 0, 0, 0};  // Little-endian version field.
+    ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(v1, 1, 4, f), 4u);
+    std::fclose(f);
+    ExpectUnsupported(dir);
+  }
+  // A current snapshot header whose store image is the earlier
+  // per-family-section format ("SSP2", five empty sections).
+  {
+    BinaryWriter image;
+    image.PutU32(0x53535032);
+    for (int section = 0; section < 5; ++section) image.PutU32(0);
+    const Bytes body = image.Take();
+    BinaryWriter w;
+    w.PutU32(kWalSnapshotMagic);
+    w.PutU32(kWalVersion);
+    w.PutU64(0);
+    w.PutU32(WalCrc32(body.data(), body.size()));
+    w.PutRaw(body);
+    std::string dir = FreshDir("ssp2_image");
+    ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
+    ASSERT_TRUE(WriteFile(dir + "/snapshot", w.Take()).ok());
+    ExpectUnsupported(dir);
+  }
 }
 
 }  // namespace

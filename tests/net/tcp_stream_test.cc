@@ -83,7 +83,8 @@ TEST(TcpStreamTest, HostnameConnectResolvesNames) {
   ASSERT_TRUE(daemon.ok());
   auto channel = ssp::TcpSspChannel::Connect("localhost", (*daemon)->port());
   ASSERT_TRUE(channel.ok()) << channel.status();
-  auto resp = (*channel)->Call(ssp::Request::PutMetadata(1, 0, {42}));
+  auto resp = (*channel)->Call(ssp::Request::Put(ssp::ObjectKey::Metadata(1, 0),
+                                                 {42}));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_TRUE(resp->ok());
 }
@@ -145,10 +146,11 @@ TEST(TcpStreamTest, ConnectWithTimeoutServesNormally) {
   auto channel =
       ssp::TcpSspChannel::Connect("127.0.0.1", (*daemon)->port(), timeouts);
   ASSERT_TRUE(channel.ok()) << channel.status();
-  auto resp = (*channel)->Call(ssp::Request::PutData(3, 0, {1, 2, 3}));
+  auto resp = (*channel)->Call(ssp::Request::Put(ssp::ObjectKey::Data(3, 0),
+                                                 {1, 2, 3}));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_TRUE(resp->ok());
-  resp = (*channel)->Call(ssp::Request::GetData(3, 0));
+  resp = (*channel)->Call(ssp::Request::Get(ssp::ObjectKey::Data(3, 0)));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->payload, (Bytes{1, 2, 3}));
 }

@@ -114,9 +114,12 @@ TEST(ClusterFailover, AndrewIsByteIdenticalThroughReplicaSigkill) {
   }
   for (const auto& [path, inode] : files) {
     for (uint32_t block = 0; block < 8; ++block) {
-      auto copy0 = cluster.node(0)->server()->store().GetData(inode, block);
-      auto copy1 = cluster.node(1)->server()->store().GetData(inode, block);
-      auto copy2 = cluster.node(2)->server()->store().GetData(inode, block);
+      auto copy0 = cluster.node(0)->server()->store().Get(ObjectKey::Data(
+          inode, block));
+      auto copy1 = cluster.node(1)->server()->store().Get(ObjectKey::Data(
+          inode, block));
+      auto copy2 = cluster.node(2)->server()->store().Get(ObjectKey::Data(
+          inode, block));
       ASSERT_EQ(copy0.has_value(), copy1.has_value())
           << path << " block " << block;
       ASSERT_EQ(copy0.has_value(), copy2.has_value())
@@ -152,12 +155,13 @@ TEST(ClusterFailover, QuorumReadRepairsAReplicaThatMissedAWrite) {
   auto writer = cluster.MakeChannel();
   ASSERT_NE(writer, nullptr);
   cluster.node(2)->KillHard();
-  auto put = writer->Call(Request::PutData(inode, 0, v2));
+  auto put = writer->Call(Request::Put(ObjectKey::Data(inode, 0), v2));
   ASSERT_TRUE(put.ok()) << put.status();
   ASSERT_EQ(put->status, RespStatus::kOk) << "W=2 must ack without node 2";
   cluster.node(2)->Restart();
   ASSERT_FALSE(
-      cluster.node(2)->server()->store().GetData(inode, 0).has_value())
+      cluster.node(2)->server()->store().Get(ObjectKey::Data(inode, 0))
+          .has_value())
       << "node 2 must start amnesiac for the divergence to be real";
 
   // A FRESH channel (no session fingerprint of the write) must still
@@ -166,17 +170,18 @@ TEST(ClusterFailover, QuorumReadRepairsAReplicaThatMissedAWrite) {
   // the amnesiac inline.
   auto reader = cluster.MakeChannel();
   ASSERT_NE(reader, nullptr);
-  auto got = reader->Call(Request::GetData(inode, 0));
+  auto got = reader->Call(Request::Get(ObjectKey::Data(inode, 0)));
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_EQ(got->status, RespStatus::kOk);
   EXPECT_EQ(got->payload, v2);
   EXPECT_GE(reader->read_repairs(), 1u);
-  auto healed = cluster.node(2)->server()->store().GetData(inode, 0);
+  auto healed = cluster.node(2)->server()->store().Get(ObjectKey::Data(
+      inode, 0));
   ASSERT_TRUE(healed.has_value()) << "read repair did not re-put";
   EXPECT_EQ(*healed, v2);
 
   // And the writing channel recognizes its own write by fingerprint.
-  auto own = writer->Call(Request::GetData(inode, 0));
+  auto own = writer->Call(Request::Get(ObjectKey::Data(inode, 0)));
   ASSERT_TRUE(own.ok());
   ASSERT_EQ(own->status, RespStatus::kOk);
   EXPECT_EQ(own->payload, v2);
@@ -228,7 +233,7 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
   auto writer = cluster.MakeChannel();
   ASSERT_NE(writer, nullptr);
   for (uint64_t inode : inodes) {
-    auto put = writer->Call(Request::PutData(inode, 0, v));
+    auto put = writer->Call(Request::Put(ObjectKey::Data(inode, 0), v));
     ASSERT_TRUE(put.ok()) << put.status();
     ASSERT_EQ(put->status, RespStatus::kOk);
   }
@@ -240,7 +245,7 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
         return cluster.node(node)
             ->server()
             ->store()
-            .GetData(inode, 0)
+            .Get(ObjectKey::Data(inode, 0))
             .has_value();
       })) << "node " << node << " never received inode " << inode;
     }
@@ -248,14 +253,15 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
 
   cluster.node(2)->KillHard();
   for (uint64_t inode : inodes) {
-    auto del = writer->Call(Request::DeleteData(inode, 0));
+    auto del = writer->Call(Request::Delete(ObjectKey::Data(inode, 0)));
     ASSERT_TRUE(del.ok()) << del.status();
     ASSERT_EQ(del->status, RespStatus::kOk) << "W=2 must ack without node 2";
   }
   cluster.node(2)->Restart();  // WAL replays the puts — not the deletes.
   for (uint64_t inode : inodes) {
     ASSERT_TRUE(
-        cluster.node(2)->server()->store().GetData(inode, 0).has_value())
+        cluster.node(2)->server()->store().Get(ObjectKey::Data(inode, 0))
+            .has_value())
         << "node 2 must come back offering the stale copy for the "
            "divergence to be real";
   }
@@ -265,15 +271,16 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
   // amnesiac inline.
   auto reader = cluster.MakeChannel();
   ASSERT_NE(reader, nullptr);
-  auto got = reader->Call(Request::GetData(inodes[0], 0));
+  auto got = reader->Call(Request::Get(ObjectKey::Data(inodes[0], 0)));
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->status, RespStatus::kNotFound) << "resurrected!";
   EXPECT_FALSE(
-      cluster.node(2)->server()->store().GetData(inodes[0], 0).has_value())
+      cluster.node(2)->server()->store().Get(ObjectKey::Data(inodes[0], 0))
+          .has_value())
       << "read repair did not re-delete the stale copy";
   // The deleting channel agrees with itself, too (its session mark was
   // flipped by the delete, not erased).
-  auto own = writer->Call(Request::GetData(inodes[0], 0));
+  auto own = writer->Call(Request::Get(ObjectKey::Data(inodes[0], 0)));
   ASSERT_TRUE(own.ok()) << own.status();
   EXPECT_EQ(own->status, RespStatus::kNotFound);
 
@@ -288,7 +295,8 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
   EXPECT_GE(pass.repaired, 1u);
   EXPECT_EQ(pass.unreachable, 0u);
   EXPECT_FALSE(
-      cluster.node(2)->server()->store().GetData(inodes[1], 0).has_value())
+      cluster.node(2)->server()->store().Get(ObjectKey::Data(inodes[1], 0))
+          .has_value())
       << "the scrubber did not re-delete the stale copy";
 
   // GC leg: once every replica agrees the keys are dead, the tombstones
@@ -328,7 +336,7 @@ TEST(ClusterFailover, WithoutTombstonesTheSameRestartResurrectsTheKey) {
 
   auto writer = cluster.MakeChannel();
   ASSERT_NE(writer, nullptr);
-  auto put = writer->Call(Request::PutData(inodes[0], 0, v));
+  auto put = writer->Call(Request::Put(ObjectKey::Data(inodes[0], 0), v));
   ASSERT_TRUE(put.ok()) << put.status();
   ASSERT_EQ(put->status, RespStatus::kOk);
   for (int node = 0; node < 3; ++node) {
@@ -336,13 +344,13 @@ TEST(ClusterFailover, WithoutTombstonesTheSameRestartResurrectsTheKey) {
       return cluster.node(node)
           ->server()
           ->store()
-          .GetData(inodes[0], 0)
+          .Get(ObjectKey::Data(inodes[0], 0))
           .has_value();
     }));
   }
 
   cluster.node(2)->KillHard();
-  auto del = writer->Call(Request::DeleteData(inodes[0], 0));
+  auto del = writer->Call(Request::Delete(ObjectKey::Data(inodes[0], 0)));
   ASSERT_TRUE(del.ok()) << del.status();
   ASSERT_EQ(del->status, RespStatus::kOk);
   cluster.node(2)->Restart();
@@ -351,7 +359,7 @@ TEST(ClusterFailover, WithoutTombstonesTheSameRestartResurrectsTheKey) {
   // tombstoned — silent) replicas, and the zombie wins.
   auto reader = cluster.MakeChannel();
   ASSERT_NE(reader, nullptr);
-  auto got = reader->Call(Request::GetData(inodes[0], 0));
+  auto got = reader->Call(Request::Get(ObjectKey::Data(inodes[0], 0)));
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_EQ(got->status, RespStatus::kOk)
       << "erase-style delete did NOT resurrect — the positive leg above "

@@ -60,13 +60,13 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
     for (int op = 0; op < kOps; ++op) {
       uint64_t inode = base + static_cast<uint64_t>(op) % kInodesPerThread;
       auto put = (*channel)->Call(
-          Request::PutData(inode, 0, TaggedPayload(t, op)));
+          Request::Put(ObjectKey::Data(inode, 0), TaggedPayload(t, op)));
       if (!put.ok()) return put.status();
       if (put->status != RespStatus::kOk) {
         return Status::IoError("put answered " +
                                std::string(RespStatusName(put->status)));
       }
-      auto got = (*channel)->Call(Request::GetData(inode, 0));
+      auto got = (*channel)->Call(Request::Get(ObjectKey::Data(inode, 0)));
       if (!got.ok()) return got.status();
       if (got->status != RespStatus::kOk) {
         return Status::IoError("get answered " +
@@ -95,7 +95,7 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
       // kOps is a multiple of kInodesPerThread, so slot i's final write
       // was op (kOps - kInodesPerThread + i).
       int last_op = static_cast<int>(kOps - kInodesPerThread + i);
-      auto got = reader->Call(Request::GetData(inode, 0));
+      auto got = reader->Call(Request::Get(ObjectKey::Data(inode, 0)));
       ASSERT_TRUE(got.ok()) << got.status();
       ASSERT_EQ(got->status, RespStatus::kOk)
           << "thread " << t << " inode " << inode;

@@ -74,15 +74,15 @@ TEST(FaultInjectionTcpTest, FailedRequestIsNotExecuted) {
   ASSERT_TRUE(channel.ok());
 
   // First request hits the fault: kError reply, store untouched.
-  auto resp = (*channel)->Call(Request::PutMetadata(1, 0, {9}));
+  auto resp = (*channel)->Call(Request::Put(ObjectKey::Metadata(1, 0), {9}));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_EQ(resp->status, RespStatus::kError);
-  EXPECT_FALSE(server.store().GetMetadata(1, 0).has_value());
+  EXPECT_FALSE(server.store().Get(ObjectKey::Metadata(1, 0)).has_value());
   // Script exhausted: the connection is healthy and serves normally.
-  resp = (*channel)->Call(Request::PutMetadata(1, 0, {9}));
+  resp = (*channel)->Call(Request::Put(ObjectKey::Metadata(1, 0), {9}));
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp->ok());
-  EXPECT_TRUE(server.store().GetMetadata(1, 0).has_value());
+  EXPECT_TRUE(server.store().Get(ObjectKey::Metadata(1, 0)).has_value());
   (*daemon)->Shutdown();
 }
 
@@ -95,13 +95,13 @@ TEST(FaultInjectionTcpTest, DroppedConnectionSeversMidFrame) {
   auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(channel.ok());
 
-  auto resp = (*channel)->Call(Request::GetMetadata(1, 0));
+  auto resp = (*channel)->Call(Request::Get(ObjectKey::Metadata(1, 0)));
   ASSERT_FALSE(resp.ok());
   EXPECT_TRUE(resp.status().IsIoError()) << resp.status();
   // The daemon as a whole survives: fresh connections serve fine.
   auto fresh = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(fresh.ok());
-  auto ok_resp = (*fresh)->Call(Request::GetMetadata(1, 0));
+  auto ok_resp = (*fresh)->Call(Request::Get(ObjectKey::Metadata(1, 0)));
   ASSERT_TRUE(ok_resp.ok()) << ok_resp.status();
   EXPECT_EQ(ok_resp->status, RespStatus::kNotFound);
   (*daemon)->Shutdown();
@@ -109,7 +109,7 @@ TEST(FaultInjectionTcpTest, DroppedConnectionSeversMidFrame) {
 
 TEST(FaultInjectionTcpTest, CorruptedPayloadStillParsesButDiffers) {
   SspServer server;
-  server.store().PutData(5, 0, {10, 20, 30, 40});
+  server.store().Put(ObjectKey::Data(5, 0), {10, 20, 30, 40});
   auto daemon = TcpSspDaemon::Start(&server, 0);
   ASSERT_TRUE(daemon.ok());
   FaultAction corrupt = Fault(FaultAction::Kind::kCorruptResponse);
@@ -122,7 +122,7 @@ TEST(FaultInjectionTcpTest, CorruptedPayloadStillParsesButDiffers) {
   // The transport accepts the tampered reply (framing intact, payload
   // wrong) — exactly the case only the integrity layer can catch, which
   // tests/core/client_fault_test.cc asserts end to end.
-  auto resp = (*channel)->Call(Request::GetData(5, 0));
+  auto resp = (*channel)->Call(Request::Get(ObjectKey::Data(5, 0)));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_TRUE(resp->ok());
   EXPECT_NE(resp->payload, (Bytes{10, 20, 30, 40}));
@@ -132,7 +132,7 @@ TEST(FaultInjectionTcpTest, CorruptedPayloadStillParsesButDiffers) {
 
 TEST(FaultInjectionTcpTest, DelayInjectsLatencyOnly) {
   SspServer server;
-  server.store().PutData(5, 0, {1});
+  server.store().Put(ObjectKey::Data(5, 0), {1});
   auto daemon = TcpSspDaemon::Start(&server, 0);
   ASSERT_TRUE(daemon.ok());
   FaultAction delay = Fault(FaultAction::Kind::kDelayResponse);
@@ -141,7 +141,7 @@ TEST(FaultInjectionTcpTest, DelayInjectsLatencyOnly) {
   (*daemon)->set_fault_injector(&injector);
   auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(channel.ok());
-  auto resp = (*channel)->Call(Request::GetData(5, 0));
+  auto resp = (*channel)->Call(Request::Get(ObjectKey::Data(5, 0)));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->payload, Bytes{1});  // Slow, not wrong.
   (*daemon)->Shutdown();
@@ -160,7 +160,7 @@ TEST(FaultInjectionTcpTest, DelayBeyondRecvDeadlineSurfacesAsDeadline) {
   auto channel =
       TcpSspChannel::Connect("127.0.0.1", (*daemon)->port(), timeouts);
   ASSERT_TRUE(channel.ok());
-  auto resp = (*channel)->Call(Request::GetMetadata(1, 0));
+  auto resp = (*channel)->Call(Request::Get(ObjectKey::Metadata(1, 0)));
   ASSERT_FALSE(resp.ok());
   EXPECT_TRUE(resp.status().IsDeadlineExceeded()) << resp.status();
   (*daemon)->Shutdown();
@@ -183,16 +183,17 @@ TEST(FaultInjectionTcpTest, FaultedConnectionDoesNotPoisonOthers) {
   for (int round = 0; round < 4; ++round) {
     auto victim = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
     ASSERT_TRUE(victim.ok());
-    EXPECT_FALSE((*victim)->Call(Request::GetMetadata(1, 0)).ok());
+    EXPECT_FALSE((*victim)->Call(Request::Get(ObjectKey::Metadata(1, 0))).ok());
     auto healthy = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
     ASSERT_TRUE(healthy.ok());
-    auto resp = (*healthy)->Call(
-        Request::PutMetadata(100 + round, 0, {static_cast<uint8_t>(round)}));
+    auto resp = (*healthy)->Call(Request::Put(
+        ObjectKey::Metadata(100 + round, 0), {static_cast<uint8_t>(round)}));
     ASSERT_TRUE(resp.ok()) << resp.status();
     EXPECT_TRUE(resp->ok());
   }
   for (int round = 0; round < 4; ++round) {
-    EXPECT_TRUE(server.store().GetMetadata(100 + round, 0).has_value());
+    EXPECT_TRUE(server.store().Get(ObjectKey::Metadata(100 + round,
+                                                       0)).has_value());
   }
   (*daemon)->Shutdown();
 }
@@ -200,7 +201,7 @@ TEST(FaultInjectionTcpTest, FaultedConnectionDoesNotPoisonOthers) {
 TEST(FaultInjectionServerTest, InProcessHookFailsAndCorrupts) {
   // The SspServer-level hook: same injector interface, no sockets.
   SspServer server;
-  server.store().PutData(7, 0, {1, 2, 3, 4, 5, 6});
+  server.store().Put(ObjectKey::Data(7, 0), {1, 2, 3, 4, 5, 6});
   FaultAction corrupt = Fault(FaultAction::Kind::kCorruptResponse);
   corrupt.corrupt_mask = 0x80;
   ScriptedInjector injector(
@@ -214,13 +215,16 @@ TEST(FaultInjectionServerTest, InProcessHookFailsAndCorrupts) {
     EXPECT_TRUE(resp.ok());
     return *resp;
   };
-  EXPECT_EQ(wire(Request::GetData(7, 0)).status, RespStatus::kError);
-  EXPECT_EQ(wire(Request::GetData(7, 0)).status, RespStatus::kError);
-  Response tampered = wire(Request::GetData(7, 0));
+  EXPECT_EQ(wire(Request::Get(ObjectKey::Data(7, 0))).status,
+            RespStatus::kError);
+  EXPECT_EQ(wire(Request::Get(ObjectKey::Data(7, 0))).status,
+            RespStatus::kError);
+  Response tampered = wire(Request::Get(ObjectKey::Data(7, 0)));
   EXPECT_TRUE(tampered.ok());
   EXPECT_NE(tampered.payload, (Bytes{1, 2, 3, 4, 5, 6}));
   // Script exhausted → untouched.
-  EXPECT_EQ(wire(Request::GetData(7, 0)).payload, (Bytes{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(wire(Request::Get(ObjectKey::Data(7, 0))).payload,
+            (Bytes{1, 2, 3, 4, 5, 6}));
   server.set_fault_injector(nullptr);
 }
 

@@ -198,22 +198,33 @@ TEST(PlacementRing, ReplicationClampedToClusterSize) {
 
 TEST(RoutingKey, DomainsDoNotCollide) {
   Bytes payload{1, 2, 3};
-  // All of inode 7's spellings route together...
-  uint64_t inode_key = RoutingKeyOf(Request::GetMetadata(7, 0));
-  EXPECT_EQ(RoutingKeyOf(Request::PutData(7, 3, payload)), inode_key);
-  EXPECT_EQ(RoutingKeyOf(Request::GetUserMetadata(7, 100)), inode_key);
-  EXPECT_EQ(RoutingKeyOf(Request::DeleteInodeMetadata(7)), inode_key);
-  EXPECT_EQ(RoutingKeyOf(Request::DeleteInodeData(7)), inode_key);
+  auto route = [](const Request& req) { return RoutingKeyOf(req.key); };
+  // All of inode 7's spellings route together, on the inode itself...
+  uint64_t inode_key = route(Request::Get(ObjectKey::Metadata(7, 0)));
+  EXPECT_EQ(inode_key, 7u);
+  EXPECT_EQ(route(Request::Put(ObjectKey::Data(7, 3), payload)), inode_key);
+  EXPECT_EQ(route(Request::Get(ObjectKey::UserMetadata(7, 100))), inode_key);
+  EXPECT_EQ(route(Request::DeleteRange(ObjectFamily::kMetadata, 7)), inode_key);
+  EXPECT_EQ(route(Request::DeleteRange(ObjectFamily::kData, 7)), inode_key);
   // ...but user 7's superblock and group 7's key blob live in disjoint
   // tag domains: same small integer, three different shards allowed.
-  uint64_t user_key = RoutingKeyOf(Request::GetSuperblock(7));
-  uint64_t group_key = RoutingKeyOf(Request::GetGroupKey(7, 100));
-  EXPECT_NE(user_key, inode_key);
-  EXPECT_NE(group_key, inode_key);
-  EXPECT_NE(group_key, user_key);
-  EXPECT_EQ(RoutingKeyOf(Request::PutSuperblock(7, payload)), user_key);
-  EXPECT_EQ(RoutingKeyOf(Request::PutGroupKey(7, 100, payload)), group_key);
-  EXPECT_EQ(RoutingKeyOf(Request::DeleteGroupKey(7, 100)), group_key);
+  // The literal values pin the placement of every existing deployment.
+  uint64_t user_key = route(Request::Get(ObjectKey::Superblock(7)));
+  uint64_t group_key = route(Request::Get(ObjectKey::GroupKey(7, 100)));
+  EXPECT_EQ(user_key, (1ull << 62) | 7);
+  EXPECT_EQ(group_key, (2ull << 62) | 7);
+  EXPECT_EQ(route(Request::Put(ObjectKey::Superblock(7), payload)), user_key);
+  EXPECT_EQ(route(Request::Delete(ObjectKey::Superblock(7))), user_key);
+  EXPECT_EQ(route(Request::Put(ObjectKey::GroupKey(7, 100), payload)),
+            group_key);
+  EXPECT_EQ(route(Request::Delete(ObjectKey::GroupKey(7, 100))), group_key);
+  EXPECT_EQ(route(Request::Delete(ObjectKey::UserMetadata(7, 100))), inode_key);
+  EXPECT_EQ(route(Request::Delete(ObjectKey::Data(7, 3))), inode_key);
+  // The widest legal ids stay inside their domain.
+  EXPECT_EQ(RoutingKeyOf(ObjectKey::Superblock(UINT32_MAX)),
+            (1ull << 62) | UINT32_MAX);
+  EXPECT_EQ(RoutingKeyOf(ObjectKey::GroupKey(UINT32_MAX, 0)),
+            (2ull << 62) | UINT32_MAX);
 }
 
 // ---------------------------------------------------------------------

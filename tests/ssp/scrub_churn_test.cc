@@ -93,13 +93,13 @@ TEST(ScrubChurn, ScrubberRunsCleanUnderReplicaChurnAndLiveTraffic) {
     auto ch = cluster.MakeChannel();
     for (uint64_t k = 0; k < kChurnKeys; ++k) {
       uint64_t inode = kChurnBase + k;
-      auto put = ch->Call(Request::PutData(inode, 0, Payload(k)));
+      auto put = ch->Call(Request::Put(ObjectKey::Data(inode, 0), Payload(k)));
       if (!put.ok() || put->status != RespStatus::kOk) {
         churn_errors.fetch_add(1);
         continue;
       }
       if (k % 2 == 1) {
-        auto del = ch->Call(Request::DeleteData(inode, 0));
+        auto del = ch->Call(Request::Delete(ObjectKey::Data(inode, 0)));
         if (!del.ok() || del->status != RespStatus::kOk) {
           churn_errors.fetch_add(1);
         }
@@ -150,14 +150,14 @@ TEST(ScrubChurn, ScrubberRunsCleanUnderReplicaChurnAndLiveTraffic) {
   auto verify = cluster.MakeChannel();
   for (uint64_t k = 0; k < kChurnKeys; ++k) {
     uint64_t inode = kChurnBase + k;
-    auto got = verify->Call(Request::GetData(inode, 0));
+    auto got = verify->Call(Request::Get(ObjectKey::Data(inode, 0)));
     ASSERT_TRUE(got.ok()) << got.status();
     if (k % 2 == 1) {
       EXPECT_EQ(got->status, RespStatus::kNotFound)
           << "key " << inode << " resurrected through the churn";
       for (int node = 0; node < 3; ++node) {
         EXPECT_FALSE(
-            cluster.node(node)->server()->store().GetData(inode, 0)
+            cluster.node(node)->server()->store().Get(ObjectKey::Data(inode, 0))
                 .has_value())
             << "node " << node << " still offers deleted key " << inode;
       }
@@ -197,9 +197,10 @@ TEST(ScrubChurn, BackgroundScrubberGcsTombstonesOnItsInterval) {
   auto ch = cluster.MakeChannel();
   constexpr uint64_t kKeys = 6;
   for (uint64_t k = 0; k < kKeys; ++k) {
-    auto put = ch->Call(Request::PutData(kChurnBase + k, 0, Payload(k)));
+    auto put = ch->Call(Request::Put(ObjectKey::Data(kChurnBase + k, 0),
+                                     Payload(k)));
     ASSERT_TRUE(put.ok() && put->status == RespStatus::kOk);
-    auto del = ch->Call(Request::DeleteData(kChurnBase + k, 0));
+    auto del = ch->Call(Request::Delete(ObjectKey::Data(kChurnBase + k, 0)));
     ASSERT_TRUE(del.ok() && del->status == RespStatus::kOk);
   }
   for (int node = 0; node < 3; ++node) {

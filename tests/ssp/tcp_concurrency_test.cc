@@ -48,9 +48,10 @@ TEST(TcpConcurrencyTest, ParallelClientsMixedOps) {
       // Private key space: exact readback must hold.
       fs::InodeNum mine = static_cast<fs::InodeNum>(t) * 100000 + i;
       Bytes payload = {static_cast<uint8_t>(t), static_cast<uint8_t>(i)};
-      auto put = (*channel)->Call(Request::PutMetadata(mine, 0, payload));
+      auto put = (*channel)->Call(Request::Put(ObjectKey::Metadata(mine, 0),
+                                               payload));
       SHAROES_RETURN_IF_ERROR(StatusFromResponse(put, "put"));
-      auto get = (*channel)->Call(Request::GetMetadata(mine, 0));
+      auto get = (*channel)->Call(Request::Get(ObjectKey::Metadata(mine, 0)));
       if (!get.ok()) return get.status();
       if (get->payload != payload) {
         return Status::Internal("readback mismatch on private key");
@@ -60,29 +61,32 @@ TEST(TcpConcurrencyTest, ParallelClientsMixedOps) {
       switch (rng.NextU64() % 5) {
         case 0: {
           auto r = (*channel)->Call(
-              Request::PutData(hot, 0, {static_cast<uint8_t>(t)}));
+              Request::Put(ObjectKey::Data(hot, 0), {static_cast<uint8_t>(t)}));
           SHAROES_RETURN_IF_ERROR(StatusFromResponse(r, "hot put"));
           break;
         }
         case 1: {
-          auto r = (*channel)->Call(Request::GetData(hot, 0));
+          auto r = (*channel)->Call(Request::Get(ObjectKey::Data(hot, 0)));
           if (!r.ok()) return r.status();
           break;
         }
         case 2: {
-          auto r = (*channel)->Call(Request::DeleteInodeData(hot));
+          auto r = (*channel)->Call(Request::DeleteRange(ObjectFamily::kData,
+                                                         hot));
           SHAROES_RETURN_IF_ERROR(StatusFromResponse(r, "hot delete"));
           break;
         }
         case 3: {
-          auto r = (*channel)->Call(Request::PutSuperblock(
-              static_cast<uint32_t>(hot), {static_cast<uint8_t>(i)}));
+          auto r = (*channel)->Call(Request::Put(
+              ObjectKey::Superblock(static_cast<uint32_t>(hot)),
+              {static_cast<uint8_t>(i)}));
           SHAROES_RETURN_IF_ERROR(StatusFromResponse(r, "hot sb"));
           break;
         }
         case 4: {
           auto r = (*channel)->Call(Request::Batch(
-              {Request::GetMetadata(hot, 0), Request::GetData(hot, 0)}));
+              {Request::Get(ObjectKey::Metadata(hot, 0)),
+               Request::Get(ObjectKey::Data(hot, 0))}));
           if (!r.ok()) return r.status();
           break;
         }
@@ -95,7 +99,8 @@ TEST(TcpConcurrencyTest, ParallelClientsMixedOps) {
   for (int t = 0; t < kClients; ++t) {
     for (int i = 0; i < kOps; ++i) {
       EXPECT_TRUE(server.store()
-                      .GetMetadata(static_cast<fs::InodeNum>(t) * 100000 + i, 0)
+                      .Get(ObjectKey::Metadata(
+                          static_cast<fs::InodeNum>(t) * 100000 + i, 0))
                       .has_value());
     }
   }
@@ -118,9 +123,9 @@ TEST(TcpConcurrencyTest, RequestsExecuteInParallel) {
     if (!channel.ok()) return channel.status();
     for (int i = 0; i < 20; ++i) {
       fs::InodeNum inode = static_cast<fs::InodeNum>(t) + 1;
-      auto put = (*channel)->Call(Request::PutData(inode, 0, big));
+      auto put = (*channel)->Call(Request::Put(ObjectKey::Data(inode, 0), big));
       SHAROES_RETURN_IF_ERROR(StatusFromResponse(put, "big put"));
-      auto get = (*channel)->Call(Request::GetData(inode, 0));
+      auto get = (*channel)->Call(Request::Get(ObjectKey::Data(inode, 0)));
       if (!get.ok()) return get.status();
       if (get->payload != big) return Status::Internal("big readback torn");
     }
@@ -150,8 +155,8 @@ TEST(TcpConcurrencyTest, ShutdownUnderLoad) {
     if (!channel.ok()) return Status::OK();  // Lost the race to shutdown.
     for (int i = 0; i < 1000; ++i) {
       fs::InodeNum inode = static_cast<fs::InodeNum>(t) * 1000 + i;
-      auto resp = (*channel)->Call(
-          Request::PutMetadata(inode, 0, {static_cast<uint8_t>(t)}));
+      auto resp = (*channel)->Call(Request::Put(ObjectKey::Metadata(inode, 0),
+                                                {static_cast<uint8_t>(t)}));
       ops_done.fetch_add(1);
       if (!resp.ok()) return Status::OK();  // Daemon went away: expected.
     }
@@ -175,8 +180,8 @@ TEST(TcpConcurrencyTest, StartStopChurn) {
     if (round % 2 == 0) {
       auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
       if (channel.ok()) {
-        auto resp = (*channel)->Call(Request::PutMetadata(
-            static_cast<fs::InodeNum>(round) + 1, 0, {1}));
+        auto resp = (*channel)->Call(Request::Put(
+            ObjectKey::Metadata(static_cast<fs::InodeNum>(round) + 1, 0), {1}));
         EXPECT_TRUE(resp.ok()) << "round " << round;
       }
     }
@@ -204,8 +209,8 @@ TEST(TcpConcurrencyTest, ChurnWithConcurrentClients) {
       auto channel = TcpSspChannel::Connect("127.0.0.1", port);
       if (!channel.ok()) return Status::OK();
       for (int i = 0; i < 50; ++i) {
-        auto resp = (*channel)->Call(Request::GetMetadata(
-            static_cast<fs::InodeNum>(t) + 1, 0));
+        auto resp = (*channel)->Call(Request::Get(ObjectKey::Metadata(
+            static_cast<fs::InodeNum>(t) + 1, 0)));
         if (!resp.ok()) return Status::OK();  // Shutdown hit us: fine.
       }
       return Status::OK();

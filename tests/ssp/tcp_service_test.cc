@@ -20,13 +20,14 @@ TEST(TcpStreamTest, FrameRoundTrip) {
   auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(channel.ok()) << channel.status();
 
-  auto resp = (*channel)->Call(Request::PutMetadata(1, 0, {1, 2, 3}));
+  auto resp = (*channel)->Call(Request::Put(ObjectKey::Metadata(1, 0),
+                                            {1, 2, 3}));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_TRUE(resp->ok());
-  resp = (*channel)->Call(Request::GetMetadata(1, 0));
+  resp = (*channel)->Call(Request::Get(ObjectKey::Metadata(1, 0)));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->payload, (Bytes{1, 2, 3}));
-  resp = (*channel)->Call(Request::GetMetadata(2, 0));
+  resp = (*channel)->Call(Request::Get(ObjectKey::Metadata(2, 0)));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->status, RespStatus::kNotFound);
   (*daemon)->Shutdown();
@@ -41,10 +42,11 @@ TEST(TcpStreamTest, LargePayloadAndBatch) {
 
   Rng rng(3);
   Bytes big = rng.NextBytes(1 << 20);
-  auto resp = (*channel)->Call(Request::PutData(9, 0, big));
+  auto resp = (*channel)->Call(Request::Put(ObjectKey::Data(9, 0), big));
   ASSERT_TRUE(resp.ok());
   resp = (*channel)->Call(Request::Batch(
-      {Request::GetData(9, 0), Request::GetData(9, 1)}));
+      {Request::Get(ObjectKey::Data(9, 0)),
+       Request::Get(ObjectKey::Data(9, 1))}));
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->batch.size(), 2u);
   EXPECT_EQ(resp->batch[0].payload, big);
@@ -58,8 +60,8 @@ TEST(TcpStreamTest, MultipleConcurrentConnections) {
   auto c1 = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   auto c2 = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(c1.ok() && c2.ok());
-  ASSERT_TRUE((*c1)->Call(Request::PutMetadata(5, 0, {7})).ok());
-  auto resp = (*c2)->Call(Request::GetMetadata(5, 0));
+  ASSERT_TRUE((*c1)->Call(Request::Put(ObjectKey::Metadata(5, 0), {7})).ok());
+  auto resp = (*c2)->Call(Request::Get(ObjectKey::Metadata(5, 0)));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->payload, Bytes{7});
 }
@@ -152,12 +154,14 @@ TEST(TcpStreamTest, ConcurrentClientStress) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         fs::InodeNum inode = static_cast<fs::InodeNum>(t) * 1000 + i;
         Bytes payload = {static_cast<uint8_t>(t), static_cast<uint8_t>(i)};
-        auto put = (*channel)->Call(Request::PutMetadata(inode, 0, payload));
+        auto put = (*channel)->Call(Request::Put(ObjectKey::Metadata(inode, 0),
+                                                 payload));
         if (!put.ok() || !put->ok()) {
           ++failures;
           return;
         }
-        auto get = (*channel)->Call(Request::GetMetadata(inode, 0));
+        auto get = (*channel)->Call(Request::Get(ObjectKey::Metadata(inode,
+                                                                     0)));
         if (!get.ok() || get->payload != payload) {
           ++failures;
           return;
@@ -171,7 +175,8 @@ TEST(TcpStreamTest, ConcurrentClientStress) {
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kOpsPerThread; ++i) {
       EXPECT_TRUE(server.store()
-                      .GetMetadata(static_cast<fs::InodeNum>(t) * 1000 + i, 0)
+                      .Get(ObjectKey::Metadata(
+                          static_cast<fs::InodeNum>(t) * 1000 + i, 0))
                       .has_value());
     }
   }

@@ -31,29 +31,27 @@ namespace {
 Bytes LegacyEncode(const Request& req) {
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(req.op));
-  w.PutU64(req.inode);
-  w.PutU64(req.selector);
-  w.PutU32(req.user);
-  w.PutU32(req.group);
-  w.PutU32(req.block);
+  w.PutU8(static_cast<uint8_t>(req.key.family));
+  w.PutU64(req.key.k1);
+  w.PutU64(req.key.k2);
   w.PutBytes(req.payload);
   w.PutU32(static_cast<uint32_t>(req.batch.size()));
   return w.Take();
 }
 
 TEST(TraceWireTest, UntracedRequestIsByteIdenticalToLegacyEncoding) {
-  Request req = Request::PutData(42, 3, ToBytes("block-bytes"));
+  Request req = Request::Put(ObjectKey::Data(42, 3), ToBytes("block-bytes"));
   ASSERT_EQ(req.trace_id, 0u);
   EXPECT_EQ(req.Serialize(), LegacyEncode(req));
 }
 
 TEST(TraceWireTest, TraceRoundTripsThroughTheWire) {
-  Request req = Request::GetData(7, 1);
+  Request req = Request::Get(ObjectKey::Data(7, 1));
   Bytes wire = req.SerializeWithTrace(0xDEADBEEFCAFEF00Dull, 3);
   auto parsed = Request::Deserialize(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->op, OpCode::kGetData);
-  EXPECT_EQ(parsed->inode, 7u);
+  EXPECT_EQ(parsed->op, OpCode::kGet);
+  EXPECT_EQ(parsed->key, ObjectKey::Data(7, 1));
   EXPECT_EQ(parsed->trace_id, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(parsed->attempt, 3u);
   // Re-serializing a parsed traced request reproduces the frame.
@@ -61,14 +59,14 @@ TEST(TraceWireTest, TraceRoundTripsThroughTheWire) {
 }
 
 TEST(TraceWireTest, ZeroTraceSerializesWithoutExtension) {
-  Request req = Request::GetData(7, 1);
+  Request req = Request::Get(ObjectKey::Data(7, 1));
   EXPECT_EQ(req.SerializeWithTrace(0, 5), LegacyEncode(req));
 }
 
 TEST(TraceWireTest, UnknownExtensionTagIsSkipped) {
   // A future client appends an extension tag this server has never heard
   // of; the frame must still parse (and any known entries still apply).
-  Request req = Request::GetMetadata(9, 2);
+  Request req = Request::Get(ObjectKey::Metadata(9, 2));
   BinaryWriter w;
   w.PutRaw(LegacyEncode(req).data(), LegacyEncode(req).size());
   w.PutU32(kRequestExtensionMagic);
@@ -88,7 +86,7 @@ TEST(TraceWireTest, UnknownExtensionTagIsSkipped) {
 
 TEST(TraceWireTest, KnownTagWithUnexpectedLengthIsSkipped) {
   // A longer (future) trace entry: skipped wholesale, not misparsed.
-  Request req = Request::GetMetadata(9, 2);
+  Request req = Request::Get(ObjectKey::Metadata(9, 2));
   BinaryWriter w;
   w.PutRaw(LegacyEncode(req).data(), LegacyEncode(req).size());
   w.PutU32(kRequestExtensionMagic);
@@ -102,14 +100,14 @@ TEST(TraceWireTest, KnownTagWithUnexpectedLengthIsSkipped) {
 }
 
 TEST(TraceWireTest, TrailingGarbageIsStillRejected) {
-  Request req = Request::GetData(7, 1);
+  Request req = Request::Get(ObjectKey::Data(7, 1));
   Bytes wire = req.Serialize();
   wire.push_back(0xEE);  // Not a valid extension block.
   EXPECT_FALSE(Request::Deserialize(wire).ok());
 }
 
 TEST(TraceWireTest, TruncatedExtensionIsRejected) {
-  Request req = Request::GetData(7, 1);
+  Request req = Request::Get(ObjectKey::Data(7, 1));
   Bytes wire = req.SerializeWithTrace(0x99, 0);
   wire.pop_back();  // Cut the extension mid-entry.
   EXPECT_FALSE(Request::Deserialize(wire).ok());
@@ -117,7 +115,8 @@ TEST(TraceWireTest, TruncatedExtensionIsRejected) {
 
 TEST(TraceWireTest, BatchSubRequestsCarryNoExtension) {
   Request batch = Request::Batch(
-      {Request::GetData(1, 0), Request::PutData(2, 0, ToBytes("x"))});
+      {Request::Get(ObjectKey::Data(1, 0)),
+       Request::Put(ObjectKey::Data(2, 0), ToBytes("x"))});
   Bytes wire = batch.SerializeWithTrace(0x77, 0);
   auto parsed = Request::Deserialize(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -131,13 +130,13 @@ TEST(TraceWireTest, BatchSubRequestsCarryNoExtension) {
 TEST(TraceWireTest, ServerExecutesTracedRequestsNormally) {
   // A trace-stamped put/get pair behaves exactly like untraced ones.
   SspServer server;
-  Request put = Request::PutData(5, 0, ToBytes("payload"));
+  Request put = Request::Put(ObjectKey::Data(5, 0), ToBytes("payload"));
   Bytes put_wire = put.SerializeWithTrace(obs::NextTraceId(), 0);
   auto put_resp = Response::Deserialize(server.HandleWire(put_wire));
   ASSERT_TRUE(put_resp.ok());
   EXPECT_TRUE(put_resp->ok());
-  Bytes get_wire =
-      Request::GetData(5, 0).SerializeWithTrace(obs::NextTraceId(), 2);
+  Bytes get_wire = Request::Get(ObjectKey::Data(5, 0)).SerializeWithTrace(
+      obs::NextTraceId(), 2);
   auto get_resp = Response::Deserialize(server.HandleWire(get_wire));
   ASSERT_TRUE(get_resp.ok());
   EXPECT_EQ(get_resp->payload, ToBytes("payload"));
@@ -146,7 +145,8 @@ TEST(TraceWireTest, ServerExecutesTracedRequestsNormally) {
 TEST(GetStatsTest, ReturnsRegistrySnapshotJson) {
   SspServer server;
   // Serve something first so the snapshot has opcode counters.
-  server.HandleWire(Request::PutData(1, 0, ToBytes("d")).Serialize());
+  server.HandleWire(
+      Request::Put(ObjectKey::Data(1, 0), ToBytes("d")).Serialize());
   Response resp = server.Handle(Request::GetStats());
   ASSERT_TRUE(resp.ok());
   std::string json(resp.payload.begin(), resp.payload.end());
@@ -154,14 +154,15 @@ TEST(GetStatsTest, ReturnsRegistrySnapshotJson) {
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"ssp.requests.PutData\""), std::string::npos);
-  EXPECT_NE(json.find("\"ssp.service_us.PutData\""), std::string::npos);
+  EXPECT_NE(json.find("\"ssp.requests.Put\""), std::string::npos);
+  EXPECT_NE(json.find("\"ssp.service_us.Put\""), std::string::npos);
   EXPECT_NE(json.find("\"ssp.store.objects\""), std::string::npos);
 }
 
 TEST(GetStatsTest, DoesNotTouchTheStore) {
   SspServer server;
-  server.HandleWire(Request::PutData(1, 0, ToBytes("d")).Serialize());
+  server.HandleWire(
+      Request::Put(ObjectKey::Data(1, 0), ToBytes("d")).Serialize());
   auto before = server.store().Stats();
   (void)server.Handle(Request::GetStats());
   auto after = server.store().Stats();
@@ -174,13 +175,14 @@ TEST(GetStatsTest, PrefixFilterRestrictsTheSnapshot) {
   // document is restricted to metrics whose name starts with it (the
   // cheap periodic-scrape path: `sharoes_cli stats --prefix ssp.wal`).
   SspServer server;
-  server.HandleWire(Request::PutData(1, 0, ToBytes("d")).Serialize());
+  server.HandleWire(
+      Request::Put(ObjectKey::Data(1, 0), ToBytes("d")).Serialize());
   Response resp = server.Handle(Request::GetStats("ssp.requests"));
   ASSERT_TRUE(resp.ok());
   std::string json(resp.payload.begin(), resp.payload.end());
-  EXPECT_NE(json.find("\"ssp.requests.PutData\""), std::string::npos);
+  EXPECT_NE(json.find("\"ssp.requests.Put\""), std::string::npos);
   EXPECT_EQ(json.find("\"ssp.store.objects\""), std::string::npos) << json;
-  EXPECT_EQ(json.find("\"ssp.service_us.PutData\""), std::string::npos)
+  EXPECT_EQ(json.find("\"ssp.service_us.Put\""), std::string::npos)
       << json;
   // An unmatched prefix still yields a valid (empty) document.
   Response none = server.Handle(Request::GetStats("no.such.prefix"));
@@ -193,7 +195,8 @@ TEST(GetTracesTest, DoesNotTouchTheStore) {
   // kGetTraces joins kGetStats as an opcode operators fire at a live
   // production daemon, so it must be observably read-only too.
   SspServer server;
-  server.HandleWire(Request::PutData(1, 0, ToBytes("d")).Serialize());
+  server.HandleWire(
+      Request::Put(ObjectKey::Data(1, 0), ToBytes("d")).Serialize());
   auto before = server.store().Stats();
   Response resp = server.Handle(Request::GetTraces());
   ASSERT_TRUE(resp.ok());
@@ -276,7 +279,8 @@ TEST(SlowRequestCaptureTest, LiveOverTcpEndToEnd) {
 
   uint64_t trace = obs::NextTraceId();
   obs::SetCurrentTrace(obs::TraceContext{trace, 0});
-  auto put = (*channel)->Call(Request::PutData(77, 0, ToBytes("payload")));
+  auto put = (*channel)->Call(Request::Put(ObjectKey::Data(77, 0),
+                                           ToBytes("payload")));
   obs::SetCurrentTrace(obs::TraceContext{});
   ASSERT_TRUE(put.ok()) << put.status().ToString();
   ASSERT_TRUE(put->ok());
@@ -286,7 +290,7 @@ TEST(SlowRequestCaptureTest, LiveOverTcpEndToEnd) {
   ASSERT_TRUE(traces->ok());
   std::string json(traces->payload.begin(), traces->payload.end());
   EXPECT_NE(json.find(obs::TraceIdHex(trace)), std::string::npos) << json;
-  EXPECT_NE(json.find("\"op\":\"PutData\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"op\":\"Put\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"kind\":\"server\""), std::string::npos) << json;
 
   // The same record, decoded: attribution must add up (the acceptance
@@ -336,7 +340,8 @@ TEST(GetStatsTest, LiveOverTcpWithFaultCountersMoving) {
   core::RetryingConnection conn(factory, ropts);
   // Churn until the injector has demonstrably fired.
   for (int i = 0; i < 40; ++i) {
-    auto resp = conn.Call(Request::PutData(100 + i, 0, ToBytes("x")));
+    auto resp = conn.Call(Request::Put(ObjectKey::Data(100 + i, 0),
+                                       ToBytes("x")));
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   }
   ASSERT_GT(faults.counts().failed, 0u) << "schedule injected nothing";

@@ -54,46 +54,38 @@ Request RandomOp(Rng* rng, fs::InodeNum base_inode, uint64_t spread) {
   Bytes payload = rng->NextBytes(1 + rng->NextBelow(96));
   switch (rng->NextBelow(12)) {
     case 0:
-      return Request::PutSuperblock(static_cast<uint32_t>(inode), payload);
-    case 1: {
-      Request r;
-      r.op = OpCode::kDeleteSuperblock;
-      r.user = static_cast<uint32_t>(inode);
-      return r;
-    }
+      return Request::Put(ObjectKey::Superblock(static_cast<uint32_t>(inode)),
+                          payload);
+    case 1:
+      return Request::Delete(
+          ObjectKey::Superblock(static_cast<uint32_t>(inode)));
     case 2:
-      return Request::PutMetadata(inode, small, payload);
+      return Request::Put(ObjectKey::Metadata(inode, small), payload);
     case 3:
-      return Request::DeleteMetadata(inode, small);
+      return Request::Delete(ObjectKey::Metadata(inode, small));
     case 4:
-      return Request::DeleteInodeMetadata(inode);
+      return Request::DeleteRange(ObjectFamily::kMetadata, inode);
     case 5:
-      return Request::PutUserMetadata(inode, static_cast<uint32_t>(inode),
-                                      payload);
-    case 6: {
-      Request r;
-      r.op = OpCode::kDeleteUserMetadata;
-      r.inode = inode;
-      r.user = static_cast<uint32_t>(inode);
-      return r;
-    }
+      return Request::Put(
+          ObjectKey::UserMetadata(inode, static_cast<uint32_t>(inode)),
+          payload);
+    case 6:
+      return Request::Delete(
+          ObjectKey::UserMetadata(inode, static_cast<uint32_t>(inode)));
     case 7:
-      return Request::PutData(inode, small, payload);
+      return Request::Put(ObjectKey::Data(inode, small), payload);
     case 8:
-      return Request::DeleteInodeData(inode);
+      return Request::DeleteRange(ObjectFamily::kData, inode);
     case 9:
-      return Request::PutGroupKey(static_cast<uint32_t>(inode),
-                                  static_cast<uint32_t>(small), payload);
-    case 10: {
-      Request r;
-      r.op = OpCode::kDeleteGroupKey;
-      r.group = static_cast<uint32_t>(inode);
-      r.user = static_cast<uint32_t>(small);
-      return r;
-    }
+      return Request::Put(
+          ObjectKey::GroupKey(static_cast<uint32_t>(inode), small), payload);
+    case 10:
+      return Request::Delete(
+          ObjectKey::GroupKey(static_cast<uint32_t>(inode), small));
     default:
-      return Request::Batch({Request::PutMetadata(inode, 5, payload),
-                             Request::PutData(inode, 5, payload)});
+      return Request::Batch(
+          {Request::Put(ObjectKey::Metadata(inode, 5), payload),
+           Request::Put(ObjectKey::Data(inode, 5), payload)});
   }
 }
 

@@ -70,26 +70,30 @@ Request NthOp(uint64_t idx) {
   fs::InodeNum inode = 1 + idx % 37;
   switch (idx % 9) {
     case 0:
-      return Request::PutMetadata(inode, idx % 5, payload);
+      return Request::Put(ObjectKey::Metadata(inode, idx % 5), payload);
     case 1:
-      return Request::PutData(inode, static_cast<uint32_t>(idx % 8), payload);
+      return Request::Put(
+          ObjectKey::Data(inode, static_cast<uint32_t>(idx % 8)), payload);
     case 2:
-      return Request::PutUserMetadata(inode, 100 + idx % 4, payload);
+      return Request::Put(ObjectKey::UserMetadata(inode, 100 + idx % 4),
+                          payload);
     case 3:
-      return Request::PutSuperblock(100 + idx % 4, payload);
+      return Request::Put(ObjectKey::Superblock(100 + idx % 4), payload);
     case 4:
-      return Request::PutGroupKey(500 + idx % 3, 100 + idx % 4, payload);
+      return Request::Put(ObjectKey::GroupKey(500 + idx % 3, 100 + idx % 4),
+                          payload);
     case 5:
-      return Request::DeleteMetadata(inode, (idx + 1) % 5);
+      return Request::Delete(ObjectKey::Metadata(inode, (idx + 1) % 5));
     case 6:
-      return Request::Batch({Request::PutMetadata(inode, 7, payload),
-                             Request::PutData(inode, 9, payload),
-                             Request::DeleteMetadata(1 + (idx + 3) % 37, 7)});
+      return Request::Batch(
+          {Request::Put(ObjectKey::Metadata(inode, 7), payload),
+           Request::Put(ObjectKey::Data(inode, 9), payload),
+           Request::Delete(ObjectKey::Metadata(1 + (idx + 3) % 37, 7))});
     case 7:
-      return Request::DeleteInodeData(1 + (idx + 11) % 37);
+      return Request::DeleteRange(ObjectFamily::kData, 1 + (idx + 11) % 37);
     default:
-      return Request::PutData(inode, 10 + static_cast<uint32_t>(idx % 3),
-                              payload);
+      return Request::Put(
+          ObjectKey::Data(inode, 10 + static_cast<uint32_t>(idx % 3)), payload);
   }
 }
 
@@ -263,6 +267,32 @@ TEST(WalRecovery, GracefulShutdownCompactsToSnapshot) {
   EXPECT_EQ(daemon.server()->store().Serialize(), before);
 }
 
+TEST(WalRecovery, SnapshotRecoveryKeepsTombstoneMode) {
+  // A cluster daemon arms tombstones before recovery. Loading a
+  // compacted snapshot must not switch them back off, or every delete
+  // after a graceful restart would erase instead of leaving the
+  // versioned tombstone read repair and the scrubber rely on.
+  RestartableDaemon::Options opts;
+  opts.wal_dir = FreshDir("tombstone_mode");
+  opts.tombstones = true;
+  RestartableDaemon daemon(opts);
+  daemon.Start();
+  ASSERT_TRUE(
+      daemon.server()->Handle(Request::Put(ObjectKey::Data(3, 0), {1})).ok());
+  daemon.Kill();  // Graceful: the put now lives in the snapshot.
+
+  daemon.Start();
+  ASSERT_TRUE(daemon.last_recovery().had_snapshot);
+  EXPECT_TRUE(daemon.server()->store().tombstones_enabled());
+  ASSERT_TRUE(
+      daemon.server()->Handle(Request::Delete(ObjectKey::Data(3, 0))).ok());
+  EXPECT_EQ(daemon.server()->store().Stats().tombstone_count, 1u);
+  auto v = daemon.server()->store().GetVersioned(ObjectKey::Data(3, 0));
+  ASSERT_TRUE(v.has_value());
+  EXPECT_TRUE(v->tombstone);
+  EXPECT_EQ(v->gen, 2u);
+}
+
 TEST(WalRecovery, CompactionUnderLoadSurvivesHardKills) {
   // A tiny compaction threshold forces snapshot + segment rotation to
   // happen repeatedly *while* ops stream in and the daemon is being
@@ -384,15 +414,17 @@ TEST(WalBatchCost, PureGetBatchIsWalNeutral) {
   ASSERT_TRUE(wal.ok()) << wal.status();
   server.set_wal(wal->get());
   // Seed one object so the batch sees both kOk and kNotFound sub-results.
-  ASSERT_EQ(server.Handle(Request::PutData(1, 0, {1, 2, 3})).status,
-            RespStatus::kOk);
+  ASSERT_EQ(
+      server.Handle(Request::Put(ObjectKey::Data(1, 0), {1, 2, 3})).status,
+      RespStatus::kOk);
 
   auto& reg = obs::MetricsRegistry::Global();
   uint64_t appends0 = reg.counter("ssp.wal.appends")->Value();
   uint64_t fsyncs0 = reg.counter("ssp.wal.fsyncs")->Value();
-  Response resp = server.Handle(
-      Request::Batch({Request::GetData(1, 0), Request::GetMetadata(1, 0),
-                      Request::GetData(99, 7)}));
+  Response resp = server.Handle(Request::Batch(
+      {Request::Get(ObjectKey::Data(1, 0)),
+       Request::Get(ObjectKey::Metadata(1, 0)),
+       Request::Get(ObjectKey::Data(99, 7))}));
   ASSERT_EQ(resp.status, RespStatus::kOk);
   ASSERT_EQ(resp.batch.size(), 3u);
   EXPECT_EQ(resp.batch[0].status, RespStatus::kOk);
@@ -416,8 +448,10 @@ TEST(WalBatchCost, MixedBatchCostsExactlyOneFsync) {
   uint64_t appends0 = reg.counter("ssp.wal.appends")->Value();
   uint64_t fsyncs0 = reg.counter("ssp.wal.fsyncs")->Value();
   Response resp = server.Handle(Request::Batch(
-      {Request::PutData(5, 0, {1}), Request::GetData(5, 0),
-       Request::PutMetadata(5, 0, {2}), Request::DeleteMetadata(6, 1)}));
+      {Request::Put(ObjectKey::Data(5, 0), {1}),
+       Request::Get(ObjectKey::Data(5, 0)),
+       Request::Put(ObjectKey::Metadata(5, 0), {2}),
+       Request::Delete(ObjectKey::Metadata(6, 1))}));
   ASSERT_EQ(resp.status, RespStatus::kOk);
   EXPECT_EQ(reg.counter("ssp.wal.appends")->Value(), appends0 + 3);
   EXPECT_EQ(reg.counter("ssp.wal.fsyncs")->Value(), fsyncs0 + 1);
@@ -442,7 +476,8 @@ TEST(WalBatchCost, ConcurrentCommitsShareOneFsync) {
   constexpr int kWriters = 8;
   std::vector<uint64_t> seqs(kWriters, 0);
   for (int w = 0; w < kWriters; ++w) {
-    Request op = Request::PutData(800 + w, 0, {static_cast<uint8_t>(w)});
+    Request op = Request::Put(ObjectKey::Data(800 + w, 0),
+                              {static_cast<uint8_t>(w)});
     ASSERT_TRUE((*wal)->Append(op, &seqs[w]).ok());
   }
   auto& reg = obs::MetricsRegistry::Global();
@@ -486,7 +521,7 @@ TEST(WalBatchCost, ConcurrentHandlesSyncSublinearly) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       Response resp = server.Handle(
-          Request::PutData(900 + w, 0, {static_cast<uint8_t>(w)}));
+          Request::Put(ObjectKey::Data(900 + w, 0), {static_cast<uint8_t>(w)}));
       EXPECT_EQ(resp.status, RespStatus::kOk);
     });
   }
@@ -550,8 +585,8 @@ TEST(WalRecovery, GroupCommitConcurrentWritersSurviveSigkill) {
         for (uint64_t i = 0;; ++i) {
           std::vector<Request> subs;
           for (uint32_t k = 0; k < kSubOps; ++k) {
-            subs.push_back(Request::PutData(
-                inode, static_cast<uint32_t>(i) * kSubOps + k,
+            subs.push_back(Request::Put(
+                ObjectKey::Data(inode, static_cast<uint32_t>(i) * kSubOps + k),
                 payload_for(round, w, i, k)));
           }
           auto resp = (*channel)->Call(Request::Batch(std::move(subs)));
@@ -576,8 +611,8 @@ TEST(WalRecovery, GroupCommitConcurrentWritersSurviveSigkill) {
       // Every acked batch must be recovered in full.
       for (uint64_t i = 0; i < outcomes[w].acked_batches; ++i) {
         for (uint32_t k = 0; k < kSubOps; ++k) {
-          Response got = server->Handle(Request::GetData(
-              inode, static_cast<uint32_t>(i) * kSubOps + k));
+          Response got = server->Handle(Request::Get(ObjectKey::Data(
+              inode, static_cast<uint32_t>(i) * kSubOps + k)));
           ASSERT_EQ(got.status, RespStatus::kOk)
               << "round " << round << " writer " << w << ": acked batch "
               << i << " sub-op " << k << " lost across SIGKILL";
@@ -588,8 +623,8 @@ TEST(WalRecovery, GroupCommitConcurrentWritersSurviveSigkill) {
       uint64_t i = outcomes[w].acked_batches;
       bool prior_present = true;
       for (uint32_t k = 0; k < kSubOps; ++k) {
-        Response got = server->Handle(Request::GetData(
-            inode, static_cast<uint32_t>(i) * kSubOps + k));
+        Response got = server->Handle(Request::Get(ObjectKey::Data(
+            inode, static_cast<uint32_t>(i) * kSubOps + k)));
         bool present = got.status == RespStatus::kOk;
         ASSERT_FALSE(present && !prior_present)
             << "round " << round << " writer " << w

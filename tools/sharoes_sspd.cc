@@ -3,7 +3,7 @@
 //
 // Usage:
 //   sharoes_sspd [port] [--cluster FILE --node-id N]
-//                [--wal DIR [wal flags] | --store FILE] [fault flags]
+//                [--wal DIR [wal flags]] [fault flags]
 //
 // Default port 7070 (0 picks an ephemeral port).
 //
@@ -42,14 +42,12 @@
 //                                    concurrent requests share its fsync
 //                                    (default 0 = pure piggybacking)
 //
-// --store FILE is the legacy clean-shutdown-only persistence: load the
-// snapshot at startup, save it at exit — a crash loses everything since
-// startup. The two modes are mutually exclusive; prefer --wal.
-// The daemon starts empty otherwise; an enterprise provisions it
-// remotely through the same wire protocol (see tools/sharoes_cli.cc).
+// Without --wal the store lives in memory only and the daemon starts
+// empty; an enterprise provisions it remotely through the same wire
+// protocol (see tools/sharoes_cli.cc).
 //
 // --stats-interval-s N dumps the metrics-registry snapshot (the same
-// JSON that OpCode::kGetStats returns) to stdout every N seconds — a
+// JSON that kGetStats returns) to stdout every N seconds — a
 // poor man's scrape endpoint for watching a daemon under load.
 //
 // --slow-request-us N captures the span timeline of any traced request
@@ -92,7 +90,6 @@ void HandleSignal(int) { g_stop = 1; }
 int main(int argc, char** argv) {
   uint16_t port = 7070;
   bool explicit_port = false;
-  std::string store_path;
   std::string wal_dir;
   std::string cluster_path;
   int node_id = -1;
@@ -103,9 +100,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto pct = [&]() { return std::atof(argv[++i]) / 100.0; };
-    if (arg == "--store" && i + 1 < argc) {
-      store_path = argv[++i];
-    } else if (arg == "--cluster" && i + 1 < argc) {
+    if (arg == "--cluster" && i + 1 < argc) {
       cluster_path = argv[++i];
     } else if (arg == "--node-id" && i + 1 < argc) {
       node_id = std::atoi(argv[++i]);
@@ -143,6 +138,9 @@ int main(int argc, char** argv) {
       fault_opts.delay_ms = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--fault-seed" && i + 1 < argc) {
       fault_opts.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "sharoes_sspd: unknown flag %s\n", arg.c_str());
+      return 1;
     } else {
       port = static_cast<uint16_t>(std::atoi(arg.c_str()));
       explicit_port = true;
@@ -182,13 +180,6 @@ int main(int argc, char** argv) {
     ring = std::make_unique<sharoes::ssp::PlacementRing>(std::move(*built));
   }
 
-  if (!wal_dir.empty() && !store_path.empty()) {
-    std::fprintf(stderr,
-                 "sharoes_sspd: --wal and --store are mutually exclusive "
-                 "(the WAL supersedes the clean-shutdown snapshot)\n");
-    return 1;
-  }
-
   sharoes::ssp::SspServer server;
   if (ring != nullptr) {
     server.set_placement(ring.get(), static_cast<uint32_t>(node_id));
@@ -221,21 +212,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(rec.last_seq),
         rec.tail_truncated ? " (torn tail truncated)" : "");
     server.set_wal(wal.get());
-  }
-  if (!store_path.empty()) {
-    auto loaded = sharoes::ssp::ObjectStore::LoadFromFile(store_path);
-    if (loaded.ok()) {
-      server.store() = std::move(*loaded);
-      std::printf("sharoes_sspd: loaded %llu objects from %s\n",
-                  static_cast<unsigned long long>(
-                      server.store().Stats().object_count),
-                  store_path.c_str());
-    } else if (!loaded.status().IsNotFound()) {
-      std::fprintf(stderr, "sharoes_sspd: cannot load %s: %s\n",
-                   store_path.c_str(),
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
   }
   auto daemon = sharoes::ssp::TcpSspDaemon::Start(&server, port);
   if (!daemon.ok()) {
@@ -343,15 +319,6 @@ int main(int argc, char** argv) {
     }
     server.set_wal(nullptr);
     wal.reset();
-  }
-  if (!store_path.empty()) {
-    sharoes::Status s = server.store().SaveToFile(store_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "sharoes_sspd: snapshot failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("sharoes_sspd: snapshot saved to %s\n", store_path.c_str());
   }
   return 0;
 }
