@@ -5,8 +5,6 @@
 #include <optional>
 #include <thread>
 
-#include "core/object_codec.h"
-#include "crypto/sha256.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "ssp/tcp_service.h"
@@ -20,8 +18,28 @@ using ssp::Request;
 using ssp::RespStatus;
 using ssp::Response;
 
+// Capped exponential backoff between quorum rounds.
+constexpr uint64_t kRoundBackoffMs = 20;
+constexpr uint64_t kMaxRoundBackoffMs = 500;
+
 bool IsAdminOp(OpCode op) {
   return op == OpCode::kGetStats || op == OpCode::kGetTraces;
+}
+
+// A nonzero writer id from a nondeterministic source: never derived from
+// the options' jitter seed, which many channels may share.
+uint64_t DrawWriterId() {
+  Rng rng;
+  uint64_t id = 0;
+  while (id == 0) id = rng.NextU64();
+  return id;
+}
+
+uint64_t WallClockMicros() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace
@@ -36,6 +54,7 @@ struct ShardedChannel::SubState {
   };
 
   const Request* req = nullptr;
+  ssp::Version version;  // Mutations only: the stamp every replica sees.
   bool mutating = false;
   std::vector<uint32_t> replicas;  // Node indices, preferred first.
   uint32_t need_acks = 1;          // W for writes.
@@ -100,6 +119,7 @@ ShardedChannel::ShardedChannel(ssp::PlacementRing ring, NodeFactory factory,
       options_(options),
       refresh_(std::move(refresh)),
       rng_(options.seed != 0 ? Rng(options.seed) : Rng()),
+      writer_(DrawWriterId()),
       fanout_hist_(
           obs::MetricsRegistry::Global().histogram("client.rpc.shard_fanout")) {
 }
@@ -158,11 +178,11 @@ void ShardedChannel::RebuildRing(ssp::ClusterConfig config) {
 }
 
 void ShardedChannel::BackoffRound(int round) {
-  uint64_t base = options_.round_backoff_ms;
-  for (int i = 1; i < round && base < options_.max_round_backoff_ms; ++i) {
+  uint64_t base = kRoundBackoffMs;
+  for (int i = 1; i < round && base < kMaxRoundBackoffMs; ++i) {
     base *= 2;
   }
-  base = std::min<uint64_t>(base, options_.max_round_backoff_ms);
+  base = std::min(base, kMaxRoundBackoffMs);
   // ±20% jitter so a fleet of clients re-quorums out of lockstep.
   double factor = 0.8 + 0.4 * rng_.NextDouble();
   base = static_cast<uint64_t>(static_cast<double>(base) * factor);
@@ -171,29 +191,13 @@ void ShardedChannel::BackoffRound(int round) {
   }
 }
 
-void ShardedChannel::NoteWrite(const Request& req) {
-  switch (req.op) {
-    case OpCode::kPut:
-      session_marks_[req.key] = {false, crypto::Sha256Digest(req.payload)};
-      return;
-    case OpCode::kDelete:
-      // Flip to a deleted mark, never erase: erasing would let a stale
-      // live reply match the pre-delete digest on a later read and win
-      // the settle — this session resurrecting its own delete.
-      session_marks_[req.key] = {true, {}};
-      return;
-    case OpCode::kDeleteRange: {
-      // Range: every mark of the family under this k1 flips to deleted.
-      const ssp::ObjectFamily family = req.key.family;
-      const uint64_t k1 = req.key.k1;
-      auto it = session_marks_.lower_bound({family, k1, 0});
-      auto end = session_marks_.upper_bound({family, k1, ~uint64_t{0}});
-      for (; it != end; ++it) it->second = {true, {}};
-      return;
-    }
-    default:
-      return;
-  }
+ssp::Version ShardedChannel::NextVersion() {
+  last_ts_ = std::max(last_ts_ + 1, WallClockMicros());
+  return {last_ts_, writer_};
+}
+
+void ShardedChannel::Observe(const ssp::Version& seen) {
+  last_ts_ = std::max(last_ts_, seen.ts);
 }
 
 Result<Response> ShardedChannel::Call(const Request& req) {
@@ -213,16 +217,24 @@ Result<Response> ShardedChannel::Call(const Request& req) {
   }
   if (subs.empty()) return Response::Ok();
 
+  // Stamp once, before the routing retry below: every replica, quorum
+  // round and retry of a sub-op carries the same version, and the
+  // sub-ops of this call order by submission.
+  std::vector<ssp::Version> versions(subs.size());
+  for (size_t i = 0; i < subs.size(); ++i) {
+    if (ssp::IsMutatingOp(subs[i]->op)) versions[i] = NextVersion();
+  }
+
   std::vector<Response> finals;
   for (int attempt = 0; attempt < 2; ++attempt) {
     finals.clear();
-    bool wrong_shard = ExecuteSubOps(subs, &finals);
+    bool wrong_shard = ExecuteSubOps(subs, versions, &finals);
     if (wrong_shard && refresh_ != nullptr && attempt == 0) {
       // Some daemon refused a routing key: our ring is stale. Refresh
-      // placement and retry the whole sub-op set exactly once — every
-      // sub-op is idempotent, so re-running acked ones is safe, and a
-      // second kWrongShard means daemons and config genuinely disagree,
-      // which must surface instead of looping.
+      // placement and retry the whole sub-op set exactly once — an acked
+      // sub-op re-sent at its own version is a no-op, and a second
+      // kWrongShard means daemons and config genuinely disagree, which
+      // must surface instead of looping.
       ++placement_refreshes_;
       auto fresh = refresh_();
       if (fresh.ok()) RebuildRing(std::move(*fresh));
@@ -314,12 +326,14 @@ Result<Response> ShardedChannel::CallAdmin(const Request& req) {
 }
 
 bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
+                                   const std::vector<ssp::Version>& versions,
                                    std::vector<ssp::Response>* finals) {
   const ssp::ClusterConfig& config = ring_.config();
   std::vector<SubState> states(subs.size());
   for (size_t i = 0; i < subs.size(); ++i) {
     SubState& s = states[i];
     s.req = subs[i];
+    s.version = versions[i];
     s.mutating = ssp::IsMutatingOp(s.req->op);
     s.replicas = ring_.ReplicaIndicesFor(ssp::RoutingKeyOf(s.req->key));
     const uint32_t k = static_cast<uint32_t>(s.replicas.size());
@@ -410,6 +424,11 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
     }
 
     // Materialize wires + connections on this thread, then fan out.
+    auto wire_of = [&](size_t sub_idx) {
+      Request wire = *states[sub_idx].req;
+      wire.version = states[sub_idx].version;
+      return wire;
+    };
     for (NodeTask& t : tasks) {
       t.conn = NodeConn(t.node);
       if (std::find(fanout_nodes.begin(), fanout_nodes.end(), t.node) ==
@@ -417,20 +436,20 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
         fanout_nodes.push_back(t.node);
       }
       if (t.items.size() == 1) {
-        t.wire = *states[t.items[0].first].req;
+        t.wire = wire_of(t.items[0].first);
       } else {
         std::vector<Request> batch;
         batch.reserve(t.items.size());
         for (auto& [sub_idx, pos] : t.items) {
           (void)pos;
-          batch.push_back(*states[sub_idx].req);
+          batch.push_back(wire_of(sub_idx));
         }
         t.wire = Request::Batch(std::move(batch));
         t.wrapped = true;
       }
-      // Every cluster read is versioned: replies carry their replica's
-      // store generation and tombstones answer kDeleted, the raw
-      // material of delete-aware freshness. The flag rides the
+      // Every cluster read is versioned: replies carry their copy's
+      // version and tombstones answer kDeleted, the raw material of
+      // delete-aware freshness. The flag rides the
       // top-level frame (a batch envelope's flag covers its sub-reads)
       // and is a no-op for mutating ops.
       t.wire.want_version = true;
@@ -491,6 +510,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
           SubState::Reply reply;
           if (!s.HasUsable(pos) &&
               ssp::DecodeVersionedReply(*sub_resp, &reply)) {
+            Observe(reply.version);
             reply.pos = pos;
             s.usable.push_back(std::move(reply));
           }
@@ -513,14 +533,6 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
     if (any_wrong_shard && refresh_ != nullptr) break;  // Refresh first.
   }
 
-  // Session fingerprints, in submission order so the newest write to a
-  // key is what later quorum reads recognize as freshest.
-  for (const SubState& s : states) {
-    if (s.mutating && s.done && s.final.status == RespStatus::kOk) {
-      NoteWrite(*s.req);
-    }
-  }
-
   fanout_hist_->Record(fanout_nodes.size());
   finals->reserve(states.size());
   for (SubState& s : states) {
@@ -536,185 +548,21 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
 }
 
 void ShardedChannel::SettleRead(SubState* sub) {
-  // Preference order = replica position order.
-  std::sort(sub->usable.begin(), sub->usable.end(),
-            [](const auto& a, const auto& b) { return a.pos < b.pos; });
-  std::vector<const SubState::Reply*> oks;
-  bool any_versioned = false;
-  for (const auto& u : sub->usable) {
-    if (u.status == RespStatus::kOk) oks.push_back(&u);
-    if (u.status == RespStatus::kDeleted || u.gen != 0) any_versioned = true;
-  }
-  // 0. Generation-first freshness. Each replica's per-key generation
-  //    counts the gen-gated ops it has applied to that key, so with
-  //    quorum writes the highest generation among R >= K-W+1 replies is
-  //    the freshest acknowledged state — live OR deleted. A tombstone
-  //    wins ties against a live value at the same generation: equal
-  //    counters with different final states only arise from rare
-  //    double-failure interleavings where either order is defensible,
-  //    and a revocation-oriented store errs toward staying deleted
-  //    (DESIGN.md §16; the R=K scrub heals a wrong suppression from the
-  //    replica holding the strictly higher generation).
-  uint64_t max_gen = 0;
-  for (const auto& u : sub->usable) {
-    if (u.status != RespStatus::kNotFound && u.gen > max_gen) {
-      max_gen = u.gen;
-    }
-  }
-  bool deleted_wins = false;
-  for (const auto& u : sub->usable) {
-    if (u.status == RespStatus::kDeleted && u.gen == max_gen) {
-      deleted_wins = true;
-      break;
-    }
-  }
-  if (deleted_wins) {
-    // The freshest acknowledged state of this key is "deleted". Answer
-    // absence and propagate the tombstone onto live stale repliers —
-    // never onto kNotFound ones (missing already agrees with deleted;
-    // re-creating the tombstone there would fight the scrubber's GC).
-    sub->final = Response::NotFound();
-    sub->done = true;
-    RepairStale(*sub, /*deleted=*/true, Bytes{}, max_gen);
-    return;
-  }
-  if (oks.empty()) {
-    // Unanimous absence (kNotFound, possibly with lower-gen tombstones
-    // that just lost to nothing live — still absence).
-    sub->final = Response::NotFound();
-    sub->done = true;
-    return;
-  }
-  const SubState::Reply* winner = nullptr;
-  // Read repair re-puts the winner over the losers, so a wrong winner
-  // does not just return stale bytes — it DESTROYS the fresh copies.
-  // Only verdicts with real freshness evidence may repair; a mere
-  // preference-order tiebreak never does.
-  bool strong_winner = false;
-  // A live reply at the strictly highest generation — or several that
-  // agree byte-for-byte — IS the freshest acknowledged copy. Ambiguous
-  // ties (same generation, different bytes: diverged replicas that
-  // each missed a different op) fall through to the legacy evidence
-  // chain below.
-  if (any_versioned) {
-    const SubState::Reply* top = nullptr;
-    bool agree = true;
-    for (const auto* u : oks) {
-      if (u->gen != max_gen) continue;
-      if (top == nullptr) {
-        top = u;
-      } else if (u->payload != top->payload) {
-        agree = false;
-      }
-    }
-    if (top != nullptr && agree) {
-      winner = top;
-      strong_winner = true;
-    }
-  }
-  // 1. This channel's own quorum-acked write wins outright. A deleted
-  //    session mark never matches anything here (its digest is empty
-  //    on purpose), so a stale live copy of a key this session deleted
-  //    cannot ride the fingerprint path back to life.
-  if (winner == nullptr) {
-    auto mark = session_marks_.find(sub->req->key);
-    if (mark != session_marks_.end() && !mark->second.deleted) {
-      for (const auto* u : oks) {
-        if (crypto::Sha256Digest(u->payload) == mark->second.digest) {
-          winner = u;
-          strong_winner = true;
-          break;
-        }
-      }
-    }
-  }
-  // 2. Data blocks carry a plaintext-peekable write generation in their
-  //    AEAD header: highest generation wins. PeekDataHeader alone
-  //    "parses" any 12 bytes, so the gen is only evidence when EVERY
-  //    candidate structurally parses as a codec data block (header plus
-  //    AEAD tag framing) — one raw blob in the set and the comparison
-  //    would be garbage against garbage, promoting whatever noise
-  //    decodes largest. Mixed or raw payloads fall through to majority.
-  if (winner == nullptr && sub->req->key.family == ssp::ObjectFamily::kData) {
-    bool all_codec = true;
-    for (const auto* u : oks) {
-      if (!ObjectCodec::PeekDataHeader(u->payload).ok() ||
-          !ObjectCodec::PeekDataTag(u->payload).ok()) {
-        all_codec = false;
-        break;
-      }
-    }
-    if (all_codec) {
-      uint64_t best_gen = 0;
-      for (const auto* u : oks) {
-        uint64_t gen = ObjectCodec::PeekDataHeader(u->payload)->write_gen;
-        if (winner == nullptr || gen > best_gen) {
-          winner = u;
-          best_gen = gen;
-        }
-      }
-      strong_winner = true;
-    }
-  }
-  // 3. Majority payload, ring preference breaking ties — replicas only
-  //    diverge here for objects some replica missed while down, and the
-  //    client-side integrity layer (AEAD, Merkle root, freshness map)
-  //    still rejects anything stale-and-harmful that slips through.
-  //    Only a STRICT majority is freshness evidence (with W > K/2 two
-  //    identical copies cannot both predate an acked write); a tie is
-  //    answered by ring preference but never repaired from.
-  if (winner == nullptr) {
-    size_t best_votes = 0;
-    for (const auto* u : oks) {
-      size_t votes = 0;
-      for (const auto* v : oks) {
-        if (v->payload == u->payload) ++votes;
-      }
-      if (votes > best_votes) {
-        best_votes = votes;
-        winner = u;
-      }
-    }
-    strong_winner = best_votes * 2 > oks.size();
-  }
-  sub->final = Response::Ok(winner->payload);
+  const SubState::Reply& winner =
+      *ssp::Freshest(sub->usable.begin(), sub->usable.end());
+  sub->final = winner.status == RespStatus::kOk ? Response::Ok(winner.payload)
+                                                : Response::NotFound();
   sub->done = true;
-  if (strong_winner) {
-    RepairStale(*sub, /*deleted=*/false, winner->payload, winner->gen);
-  }
-}
-
-void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
-                                 const Bytes& payload, uint64_t gen) {
-  if (!options_.read_repair) return;
-  for (const auto& u : sub.usable) {
-    if (deleted) {
-      // Only live stale repliers get the tombstone. kNotFound already
-      // agrees with deleted; kDeleted repliers (any generation) are
-      // already dead.
-      if (u.status != RespStatus::kOk) continue;
-    } else {
-      if (u.status == RespStatus::kOk && u.payload == payload) continue;
-    }
-    // Re-put the winning payload — or re-delete, when a tombstone won —
-    // stamped with the winner's generation so the receiving store
-    // applies the repair at that version and gen-gating guarantees
-    // nothing fresher is ever clobbered (idempotent either way).
+  for (const auto& u : sub->usable) {
+    auto fix = ssp::RepairOp(sub->req->key, winner, u);
+    if (!fix.has_value()) continue;
     // Best-effort: a failed repair just leaves the divergence for the
-    // next read or the anti-entropy scrubber to heal.
-    Request fix = deleted ? Request::Delete(sub.req->key)
-                          : Request::Put(sub.req->key, payload);
-    if (gen != 0) {
-      fix.has_store_gen = true;
-      fix.store_gen = gen;
-    }
-    auto repaired = CallNode(sub.replicas[u.pos], fix);
+    // next read or the scrubber.
+    auto repaired = CallNode(sub->replicas[u.pos], *fix);
     ++read_repairs_;
-    if (!repaired.ok() || (repaired->status != RespStatus::kOk &&
-                           repaired->status != RespStatus::kNotFound)) {
+    if (!repaired.ok() || repaired->status != RespStatus::kOk) {
       obs::Log(obs::Severity::kWarn, "client.shard.repair_failed",
-               {{"op", ssp::OpCodeName(fix.op)},
-                {"k1", sub.req->key.k1}});
+               {{"op", ssp::OpCodeName(fix->op)}, {"k1", sub->req->key.k1}});
     }
   }
 }

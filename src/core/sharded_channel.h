@@ -14,6 +14,13 @@
 // width itself is observable as `client.rpc.shard_fanout`.
 //
 // Replication (DESIGN.md §15):
+//   - Every mutation is stamped with one ssp::Version{ts, writer} per
+//     Call, before any retry: `ts` comes from this channel's hybrid
+//     logical clock (max(last_ts + 1, wall-clock µs)), `writer` is a
+//     random nonzero id drawn once per channel. Sub-ops of one Call get
+//     increasing versions in submission order, and every replica, quorum
+//     round and transport retry of a sub-op sees the same version, which
+//     the replica's store applies iff it is newer than what it holds.
 //   - A write goes to all K replicas of its key and needs W acks; a
 //     kBadRequest from any replica is definitive; fewer than W acks
 //     after the round budget is a transient kError (the layers above
@@ -21,31 +28,26 @@
 //   - A read asks the R preferred replicas, failing over to further
 //     replicas when one is down, and needs R usable replies. Reads are
 //     issued versioned (kExtensionTagWantVersion), so every reply
-//     carries its replica's per-key store generation and deletes are
-//     visible as kDeleted tombstone replies instead of masquerading as
-//     absence. Among the replies the freshest copy wins: highest
-//     generation first — a tombstone beating any live value it ties or
-//     exceeds, so a replicated delete stays deleted — then, only when
-//     generations tie ambiguously across live replies, the legacy
-//     evidence chain (this channel's fingerprint of its own last
-//     quorum-acked write, the AEAD header write_gen for data blocks,
-//     strict payload majority). Detected-stale replicas are healed by
-//     re-putting the winning copy — or re-deleting it when a tombstone
-//     won — stamped with the winner's generation so the receiving
-//     store applies the repair *at* that version (gen-gated, never
-//     clobbering anything fresher). Tombstones are never repaired onto
-//     replicas that answered kNotFound: missing already agrees with
-//     deleted, and re-creating the tombstone would fight the
-//     scrubber's GC forever.
+//     carries its copy's version and deletes are visible as kDeleted
+//     tombstone replies instead of masquerading as absence. The freshest
+//     copy is the reply with the greatest version (ssp::Freshest, shared
+//     with the scrubber); a tombstone is just a versioned entry, so a
+//     replicated delete stays deleted and a later re-create outranks it.
+//     Every reply also raises the clock to at least its version, so a
+//     write that follows a read of a key outranks what it read.
+//   - Read repair re-puts a live winner onto the repliers below it, or
+//     re-deletes a tombstone winner onto the LIVE repliers below it,
+//     carrying the winner's own version so nothing fresher is ever
+//     clobbered. Tombstones are never repaired onto replicas that
+//     answered kNotFound: missing already agrees with deleted, and
+//     re-creating the tombstone would fight the scrubber's GC forever.
 //   - With R + W > K (enforced by ClusterConfig::Validate) every read
 //     quorum overlaps every acknowledged write quorum, so the freshest
 //     acked copy is always among the R replies.
 //
-// What this gives — and honestly does not give: one client observes
-// its own writes across replica failures (session consistency, enough
-// for the cluster failover suite to demand byte-identical Andrew
-// results through a SIGKILLed replica). Cross-client freshness is NOT
-// decided here; it never was the transport's job. The Sharoes trust
+// Between writers that do not read each other's writes, the greater
+// timestamp wins: concurrent writers are last-writer-wins by clock, the
+// same object-level semantics as the single daemon. The Sharoes trust
 // model pins integrity client-side — per-block AEAD, Merkle roots, the
 // client freshness map that fails a rolled-back write_gen closed as
 // Corruption — which is exactly why the byte store could be sharded
@@ -88,16 +90,14 @@ struct ShardedChannelOptions {
                             /*recv_ms=*/5000};
   /// Cluster-level retry: how many rounds a Call may take to assemble
   /// its quorums, re-asking unacked/unanswered replicas with capped
-  /// backoff between rounds (all sub-ops are idempotent, the same
-  /// property RetryingConnection's replay rests on). 1 = no quorum
-  /// retry: a round that misses its quorum fails the sub-op.
+  /// backoff between rounds (every sub-op keeps its version across
+  /// rounds, so a re-asked replica that already applied it no-ops).
+  /// 1 = no quorum retry: a round that misses its quorum fails the
+  /// sub-op.
   int quorum_rounds = 6;
-  uint32_t round_backoff_ms = 20;
-  uint32_t max_round_backoff_ms = 500;
-  /// Heal replicas that answered a read with a stale or missing copy by
-  /// re-putting the winning payload.
-  bool read_repair = true;
-  /// Jitter seed for round backoff; 0 draws nondeterministically.
+  /// Jitter seed for round backoff; 0 draws nondeterministically. The
+  /// writer id of the version clock is always drawn nondeterministically,
+  /// so channels sharing a seed still stamp distinct versions.
   uint64_t seed = 0;
 };
 
@@ -143,16 +143,6 @@ class ShardedChannel : public ssp::SspChannel {
  private:
   struct SubState;
 
-  /// What this session last quorum-acked for one object: a put's
-  /// payload digest, or the fact that it deleted the object. A delete
-  /// flips the mark instead of erasing it — an erased entry would let a
-  /// later stale live reply match the *pre-delete* digest and win, the
-  /// exact resurrection this PR kills.
-  struct SessionMark {
-    bool deleted = false;
-    Bytes digest;  // SHA-256 of the acked payload; empty when deleted.
-  };
-
   /// One per-node connection plus the endpoint it was dialed for. The
   /// RetryingConnection factory captures host:port at creation, so a
   /// placement refresh that moves a node id to a new address must drop
@@ -166,17 +156,15 @@ class ShardedChannel : public ssp::SspChannel {
   ShardedChannel(ssp::PlacementRing ring, NodeFactory factory,
                  const ShardedChannelOptions& options, ConfigSource refresh);
 
-  /// One full quorum execution of the sub-op list; returns true if any
-  /// replica answered kWrongShard (the caller refreshes and re-runs).
+  /// One full quorum execution of the sub-op list, each mutation carrying
+  /// its version from `versions`; returns true if any replica answered
+  /// kWrongShard (the caller refreshes and re-runs).
   bool ExecuteSubOps(const std::vector<const ssp::Request*>& subs,
+                     const std::vector<ssp::Version>& versions,
                      std::vector<ssp::Response>* finals);
+  /// Answers a read from its freshest reply and read-repairs the
+  /// repliers below it.
   void SettleRead(SubState* sub);
-  /// Heals divergent repliers toward the settled winner. A live winner
-  /// (`deleted` false) is re-put everywhere it is stale or missing; a
-  /// tombstone winner is re-deleted onto LIVE repliers only. Both are
-  /// stamped with `gen` so the receiving store gen-gates the repair.
-  void RepairStale(const SubState& sub, bool deleted, const Bytes& payload,
-                   uint64_t gen);
   /// Admin ops (kGetStats / kGetTraces): fan out to every configured
   /// node and merge — stats via the binary mergeable snapshot form,
   /// traces as one JSON object keyed by node id.
@@ -186,21 +174,22 @@ class ShardedChannel : public ssp::SspChannel {
                                  const ssp::Request& req);
   void RebuildRing(ssp::ClusterConfig config);
   void BackoffRound(int round);
-
-  void NoteWrite(const ssp::Request& req);
+  /// The hybrid logical clock: the next mutation's version, and the
+  /// catch-up to a version some replica reported.
+  ssp::Version NextVersion();
+  void Observe(const ssp::Version& seen);
 
   ssp::PlacementRing ring_;
   NodeFactory factory_;
   ShardedChannelOptions options_;
   ConfigSource refresh_;
   Rng rng_;
+  const uint64_t writer_;  // Nonzero; drawn once per channel.
+  uint64_t last_ts_ = 0;    // The clock: greatest ts stamped or seen.
   /// Per-node connections, keyed by node id so a refresh that reorders
   /// the config keeps live sockets (and drops ones whose node moved to
   /// a different endpoint — see NodeConnSlot).
   std::map<uint32_t, NodeConnSlot> conns_;
-  /// Session memory quorum reads use to recognize this channel's own
-  /// freshest copy — or its own delete — regardless of blob family.
-  std::map<ssp::ObjectKey, SessionMark> session_marks_;
   obs::Histogram* fanout_hist_;
   uint64_t placement_refreshes_ = 0;
   uint64_t read_failovers_ = 0;

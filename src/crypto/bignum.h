@@ -3,8 +3,9 @@
 // Limbs are base-2^32, little-endian, normalized (no leading zero limb).
 // The API covers exactly what RSA key generation and the RSA primitives
 // need: comparison, +, -, *, divmod (Knuth algorithm D), shifts, bit
-// access, modular exponentiation (Montgomery ladder for odd moduli),
-// gcd and modular inverse.
+// access, modular exponentiation (right-to-left square-and-multiply over
+// Montgomery multiplication for odd moduli, branching on each exponent
+// bit, so neither constant-time nor a ladder), gcd and modular inverse.
 
 #ifndef SHAROES_CRYPTO_BIGNUM_H_
 #define SHAROES_CRYPTO_BIGNUM_H_
@@ -72,8 +73,10 @@ class BigInt {
 
   /// (a * b) mod m via full multiply + reduce.
   static BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m);
-  /// base^exp mod m. Uses Montgomery multiplication when m is odd,
-  /// falling back to ModMul otherwise. m must be > 1.
+  /// base^exp mod m by right-to-left square-and-multiply: one multiply
+  /// per set exponent bit (a data-dependent branch) and one squaring per
+  /// bit. Montgomery multiplication when m is odd, ModMul otherwise.
+  /// m must be > 1.
   static BigInt ModExp(const BigInt& base, const BigInt& exp, const BigInt& m);
   static BigInt Gcd(const BigInt& a, const BigInt& b);
   /// Inverse of a mod m (gcd(a, m) must be 1). Returns false otherwise.

@@ -17,17 +17,15 @@ constexpr size_t kMinResponseWire = 9;
 
 // Trace extension entry payload: trace id (8) + attempt (1).
 constexpr uint8_t kTraceEntryLen = 9;
-// Store-generation entry payload: one u64.
-constexpr uint8_t kStoreGenEntryLen = 8;
+// A Version on the wire: ts (8) + writer (8).
+constexpr size_t kVersionWire = 16;
 
 // Appends the extension block for whichever entries are present. A
 // request with no extensions gets no block at all, preserving the
 // byte-identical-to-legacy property the protocol promises.
 void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
-                      bool has_store_gen, uint64_t store_gen,
                       bool want_version, bool binary_stats) {
   uint8_t entries = static_cast<uint8_t>((trace_id != 0 ? 1 : 0) +
-                                         (has_store_gen ? 1 : 0) +
                                          (want_version ? 1 : 0) +
                                          (binary_stats ? 1 : 0));
   if (entries == 0) return;
@@ -38,11 +36,6 @@ void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
     w->PutU8(kTraceEntryLen);
     w->PutU64(trace_id);
     w->PutU8(attempt);
-  }
-  if (has_store_gen) {
-    w->PutU8(kExtensionTagStoreGen);
-    w->PutU8(kStoreGenEntryLen);
-    w->PutU64(store_gen);
   }
   if (want_version) {
     w->PutU8(kExtensionTagWantVersion);
@@ -110,10 +103,15 @@ const char* RespStatusName(RespStatus status) {
 }
 
 void Request::AppendTo(BinaryWriter* w) const {
-  w->PutU8(static_cast<uint8_t>(op));
+  const bool stamped = version.stamped();
+  w->PutU8(static_cast<uint8_t>(op) | (stamped ? kOpVersionFlag : 0));
   w->PutU8(static_cast<uint8_t>(key.family));
   w->PutU64(key.k1);
   w->PutU64(key.k2);
+  if (stamped) {
+    w->PutU64(version.ts);
+    w->PutU64(version.writer);
+  }
   w->PutBytes(payload);
   w->PutU32(static_cast<uint32_t>(batch.size()));
   for (const Request& r : batch) r.AppendTo(w);
@@ -122,16 +120,14 @@ void Request::AppendTo(BinaryWriter* w) const {
 Bytes Request::Serialize() const {
   BinaryWriter w;
   AppendTo(&w);
-  AppendExtensions(&w, trace_id, attempt, has_store_gen, store_gen,
-                   want_version, binary_stats);
+  AppendExtensions(&w, trace_id, attempt, want_version, binary_stats);
   return w.Take();
 }
 
 Bytes Request::SerializeWithTrace(uint64_t trace, uint8_t att) const {
   BinaryWriter w;
   AppendTo(&w);
-  AppendExtensions(&w, trace, att, has_store_gen, store_gen, want_version,
-                   binary_stats);
+  AppendExtensions(&w, trace, att, want_version, binary_stats);
   return w.Take();
 }
 
@@ -147,9 +143,6 @@ Status Request::ReadExtensions(BinaryReader* r, Request* req) {
     if (tag == kExtensionTagTrace && len == kTraceEntryLen) {
       req->trace_id = r->GetU64();
       req->attempt = r->GetU8();
-    } else if (tag == kExtensionTagStoreGen && len == kStoreGenEntryLen) {
-      req->store_gen = r->GetU64();
-      req->has_store_gen = true;
     } else if (tag == kExtensionTagWantVersion && len == 0) {
       req->want_version = true;
     } else if (tag == kExtensionTagBinaryStats && len == 0) {
@@ -170,16 +163,30 @@ Result<Request> Request::ReadFrom(BinaryReader* r, int depth) {
     return Status::Corruption("nested batch in request");
   }
   Request req;
-  uint8_t op = r->GetU8();
+  const uint8_t verb = r->GetU8();
+  const bool stamped = (verb & kOpVersionFlag) != 0;
+  const uint8_t op = verb & static_cast<uint8_t>(~kOpVersionFlag);
   if (r->ok() && op >= kNumOpCodes) {
     return Status::Corruption("unknown opcode");
   }
   req.op = static_cast<OpCode>(op);
+  if (stamped && !IsMutatingOp(req.op)) {
+    return Status::Corruption("version on a non-mutating op");
+  }
   req.key.family = static_cast<ObjectFamily>(r->GetU8());
   req.key.k1 = r->GetU64();
   req.key.k2 = r->GetU64();
   if (r->ok() && !req.key.Valid()) {
     return Status::Corruption("invalid object key");
+  }
+  if (stamped) {
+    req.version.ts = r->GetU64();
+    req.version.writer = r->GetU64();
+    // The flag is the only "stamped" marker: a zero version behind it
+    // would not survive a re-serialize, so it is not a valid encoding.
+    if (r->ok() && !req.version.stamped()) {
+      return Status::Corruption("zero version on a stamped op");
+    }
   }
   req.payload = r->GetBytes();
   uint32_t n = r->GetU32();
@@ -271,16 +278,18 @@ Bytes Response::Serialize() const {
   return w.Take();
 }
 
-Response Response::Versioned(Bytes blob, uint64_t gen) {
+Response Response::Versioned(Bytes blob, Version version) {
   BinaryWriter w;
   w.PutRaw(blob);
-  w.PutU64(gen);
+  w.PutU64(version.ts);
+  w.PutU64(version.writer);
   return Response{RespStatus::kOk, w.Take(), {}};
 }
 
-Response Response::Deleted(uint64_t gen) {
+Response Response::Deleted(Version version) {
   BinaryWriter w;
-  w.PutU64(gen);
+  w.PutU64(version.ts);
+  w.PutU64(version.writer);
   return Response{RespStatus::kDeleted, w.Take(), {}};
 }
 
@@ -321,19 +330,35 @@ bool DecodeVersionedReply(const Response& resp, VersionedReply* out) {
   }
   out->status = resp.status;
   out->payload.clear();
-  out->gen = 0;
+  out->version = Version{};
   if (resp.status == RespStatus::kNotFound) return true;
-  // Both versioned shapes end in the u64 generation: the suffix of a
+  // Both versioned shapes end in the 16-byte version: the suffix of a
   // live blob, the whole payload of a tombstone reply.
-  if (resp.payload.size() >= 8) {
-    const size_t body = resp.payload.size() - 8;
-    BinaryReader r(resp.payload.data() + body, 8);
-    out->gen = r.GetU64();
-    if (resp.status == RespStatus::kOk) {
-      out->payload.assign(resp.payload.begin(), resp.payload.begin() + body);
-    }
+  if (resp.payload.size() < kVersionWire) return false;
+  const size_t body = resp.payload.size() - kVersionWire;
+  BinaryReader r(resp.payload.data() + body, kVersionWire);
+  out->version.ts = r.GetU64();
+  out->version.writer = r.GetU64();
+  if (resp.status == RespStatus::kOk) {
+    out->payload.assign(resp.payload.begin(), resp.payload.begin() + body);
   }
   return true;
+}
+
+std::optional<Request> RepairOp(const ObjectKey& key,
+                                const VersionedReply& winner,
+                                const VersionedReply& reply) {
+  if (!(reply.version < winner.version)) return std::nullopt;
+  Request fix;
+  if (winner.status == RespStatus::kOk) {
+    fix = Request::Put(key, winner.payload);
+  } else if (reply.status == RespStatus::kOk) {
+    fix = Request::Delete(key);
+  } else {
+    return std::nullopt;
+  }
+  fix.version = winner.version;
+  return fix;
 }
 
 }  // namespace sharoes::ssp

@@ -7,11 +7,19 @@
 // wrapper that lets a client combine the multiple replica writes of one
 // logical operation into one round trip ("metadata send" / "parent-dir
 // send" in the paper's Figure 8), and two read-only admin verbs.
+//
+// In a replicated cluster every mutation carries a writer-assigned
+// Version (a hybrid-logical-clock timestamp plus the writer's id), and
+// the freshest copy of a key is simply the reply with the greatest
+// version (Freshest below). A single daemon never sees versions: an
+// unstamped request serializes byte-identically to the pre-version wire.
 
 #ifndef SHAROES_SSP_MESSAGE_H_
 #define SHAROES_SSP_MESSAGE_H_
 
+#include <algorithm>
 #include <compare>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,6 +78,21 @@ struct ObjectKey {
   auto operator<=>(const ObjectKey&) const = default;
 };
 
+/// The writer-assigned version of one mutation, ordered
+/// lexicographically: `ts` from the writer's hybrid logical clock, then
+/// the writer's id to break the tie between two writers that stamped
+/// the same tick. Versions are unique per mutation, so two copies at the
+/// same version hold the same state. The zero version means "unstamped"
+/// on a request and "never stored" on a reply; a single daemon's local
+/// bumps produce {prev.ts + 1, 0}.
+struct Version {
+  uint64_t ts = 0;
+  uint64_t writer = 0;
+
+  bool stamped() const { return ts != 0 || writer != 0; }
+  auto operator<=>(const Version&) const = default;
+};
+
 enum class OpCode : uint8_t {
   kGet = 0,
   kPut = 1,
@@ -118,21 +141,16 @@ bool IsIdempotentOp(OpCode op);
 // version bump; requests with no extension serialize byte-identically
 // to the pre-extension format, so a non-tracing client is
 // indistinguishable from a legacy one. Batch sub-requests never carry
-// extensions (the top-level frame's context covers them).
+// extensions (the top-level frame's context covers them). Tag 2 is
+// retired: older clients may still send it, so it must not be reused.
 inline constexpr uint32_t kRequestExtensionMagic = 0x4F425331;  // "OBS1".
 inline constexpr uint8_t kExtensionTagTrace = 1;  // u64 trace id, u8 attempt.
-// u64 store generation: stamped on mutating requests issued by read repair
-// and the anti-entropy scrubber, so the receiving replica applies the op
-// *at* the winner's generation (gen-gated; see the trailing `gen`
-// parameter on ObjectStore's puts/deletes) instead of blindly bumping
-// its own counter. Absent on ordinary client mutations.
-inline constexpr uint8_t kExtensionTagStoreGen = 2;
 // Zero-length flag on reads: the caller wants versioned replies. Live hits
-// come back as kOk with an 8-byte little-endian generation appended to the
-// payload; tombstones come back as kDeleted (payload = 8-byte generation)
-// instead of masquerading as kNotFound. On a kBatch the flag covers every
-// sub-read. Legacy readers never set it and see the pre-tombstone wire
-// shapes byte-for-byte.
+// come back as kOk with the entry's 16-byte Version (ts u64, writer u64)
+// appended to the payload; tombstones come back as kDeleted (payload =
+// the 16-byte Version) instead of masquerading as kNotFound. On a kBatch
+// the flag covers every sub-read. Legacy readers never set it and see
+// the pre-tombstone wire shapes byte-for-byte.
 inline constexpr uint8_t kExtensionTagWantVersion = 3;
 // Zero-length flag on kGetStats: the caller wants the registry snapshot
 // in the mergeable binary form (obs::RegistrySnapshot::SerializeBinary)
@@ -141,9 +159,19 @@ inline constexpr uint8_t kExtensionTagWantVersion = 3;
 // it and keep the JSON payload byte-for-byte.
 inline constexpr uint8_t kExtensionTagBinaryStats = 4;
 
+// A stamped mutation sets this bit on its verb byte, and the 16-byte
+// Version (ts u64, writer u64) follows the key. It is part of the base
+// encoding, so it rides on every kBatch sub-op and into the WAL.
+// Deserialize refuses it on a non-mutating verb and refuses a zero
+// version behind it.
+inline constexpr uint8_t kOpVersionFlag = 0x80;
+
 struct Request {
   OpCode op = OpCode::kGet;
   ObjectKey key;
+  // Writer-assigned version of a mutation (zero = unstamped: the single
+  // daemon's local-bump path).
+  Version version;
   Bytes payload;
   std::vector<Request> batch;  // Only for kBatch.
 
@@ -154,11 +182,8 @@ struct Request {
   uint64_t trace_id = 0;
   uint8_t attempt = 0;
 
-  // Tombstone extensions (also TLV-carried, so they ride the WAL via
-  // Wal::Append's op.Serialize() and survive replay): an explicit store
-  // generation for repair/scrub mutations, and the versioned-read flag.
-  uint64_t store_gen = 0;
-  bool has_store_gen = false;
+  // Versioned-read flag (TLV-carried; a kBatch's flag covers its
+  // sub-reads).
   bool want_version = false;
 
   // Admin extension: kGetStats replies with a binary RegistrySnapshot
@@ -204,7 +229,7 @@ enum class RespStatus : uint8_t {
                     // anything else treats it as a definitive routing
                     // error, never a blind-retry target.
   kDeleted = 5,     // Versioned read hit a delete tombstone; the payload
-                    // is the tombstone's 8-byte generation. Only emitted
+                    // is the tombstone's 16-byte Version. Only emitted
                     // when the request carried kExtensionTagWantVersion —
                     // legacy readers still get plain kNotFound, so this
                     // status never reaches a pre-tombstone client.
@@ -238,11 +263,11 @@ struct Response {
   static Response WrongShard() {
     return Response{RespStatus::kWrongShard, {}, {}};
   }
-  /// Live reply for a versioned read: the blob, then its generation as
-  /// an 8-byte suffix.
-  static Response Versioned(Bytes blob, uint64_t gen);
-  /// Tombstone reply for a versioned read; payload is the generation.
-  static Response Deleted(uint64_t gen);
+  /// Live reply for a versioned read: the blob, then its Version as a
+  /// 16-byte suffix.
+  static Response Versioned(Bytes blob, Version version);
+  /// Tombstone reply for a versioned read; payload is the Version.
+  static Response Deleted(Version version);
 
  private:
   void AppendTo(BinaryWriter* w) const;
@@ -250,17 +275,48 @@ struct Response {
 };
 
 /// One replica's answer to a versioned read, decoded from the wire shape:
-/// the generation suffix is stripped off kOk payloads, a kDeleted reply
-/// keeps its tombstone generation, and kNotFound has generation 0.
+/// the version suffix is stripped off kOk payloads, a kDeleted reply
+/// keeps its tombstone's version, and kNotFound has the zero version.
 struct VersionedReply {
   RespStatus status = RespStatus::kNotFound;  // kOk, kNotFound or kDeleted.
   Bytes payload;  // Object bytes (kOk only), suffix-free.
-  uint64_t gen = 0;
+  Version version;
 };
 
 /// Decodes `resp` into `out`. False for replies that say nothing about
-/// the key (kError, kWrongShard, kBadRequest).
+/// the key (kError, kWrongShard, kBadRequest) and for versioned shapes
+/// too short to hold their version.
 bool DecodeVersionedReply(const Response& resp, VersionedReply* out);
+
+/// The freshest of the replies in [first, last): the one with the
+/// greatest version, a kNotFound reply counting as version zero. A
+/// tombstone is just a versioned entry, so there is no tie rule: equal
+/// versions are the same mutation. `last` iff the range is empty. The
+/// one freshness rule of the cluster: the sharded channel's quorum read
+/// and the anti-entropy scrubber both settle on it (elements may be any
+/// type derived from VersionedReply).
+template <typename It>
+It Freshest(It first, It last) {
+  auto rank = [](const VersionedReply& r) {
+    return r.status == RespStatus::kNotFound ? Version{} : r.version;
+  };
+  return std::max_element(first, last,
+                          [&](const VersionedReply& a,
+                              const VersionedReply& b) {
+                            return rank(a) < rank(b);
+                          });
+}
+
+/// The repair that brings one replica's `reply` up to the freshest
+/// `winner` for `key`, or nullopt when it needs none. A live winner is
+/// re-put onto every replica below it; a tombstone winner is re-deleted
+/// onto LIVE replicas below it only — kNotFound already agrees with
+/// deleted, and re-creating the tombstone there would fight the
+/// scrubber's GC forever. The op carries the winner's version, so the
+/// receiving store never lets it clobber a fresher write.
+std::optional<Request> RepairOp(const ObjectKey& key,
+                                const VersionedReply& winner,
+                                const VersionedReply& reply);
 
 }  // namespace sharoes::ssp
 

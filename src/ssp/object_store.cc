@@ -37,32 +37,32 @@ std::shared_lock<std::shared_mutex> AcquireShared(std::shared_mutex& mu) {
 
 namespace {
 
-// Applies a put at `gen` (0 = bump the local generation). Returns false
-// only on a gen-gated loss: the local entry is newer, or is a tombstone
-// at the same generation (ties go to the tombstone — the property that
-// keeps repair from resurrecting a freshly-deleted key). Caller holds
-// the shard's exclusive lock.
+// The version an op gives the entry it applies to: its own when stamped,
+// else the single daemon's local bump of the entry's current version.
+Version Applied(Version version, const Version& current) {
+  return version.stamped() ? version : Version{current.ts + 1, 0};
+}
+
+// Applies a put. A stamped put applies iff its version is greater than
+// the entry's; an equal version is the same put arriving again. Returns
+// false only when a stamped put lost to a newer entry. Caller holds the
+// shard's exclusive lock.
 template <typename Map>
-bool PutEntry(Map& m, const ObjectKey& k, Bytes blob, uint64_t gen,
+bool PutEntry(Map& m, const ObjectKey& k, Bytes blob, Version version,
               StorageStats& st) {
   uint64_t& family_bytes = st.family_bytes[static_cast<size_t>(k.family)];
   auto [it, inserted] = m.try_emplace(k);
   auto& e = it->second;
-  uint64_t new_gen;
   if (inserted) {
-    new_gen = (gen == 0) ? 1 : gen;
     ++st.object_count;
   } else {
-    if (gen == 0) {
+    if (version.stamped()) {
+      if (version <= e.version) return version == e.version;
+    } else if (!e.tombstone && e.blob == blob) {
       // A local-bump put that changes nothing is a no-op: replaying an
       // already-applied op (client retry, WAL replay) must leave the
-      // store — generations included — byte-identical.
-      if (!e.tombstone && e.blob == blob) return true;
-      new_gen = e.gen + 1;
-    } else {
-      bool wins = e.tombstone ? (gen > e.gen) : (gen >= e.gen);
-      if (!wins) return false;
-      new_gen = gen;
+      // store — versions included — byte-identical.
+      return true;
     }
     if (e.tombstone) {
       --st.tombstone_count;
@@ -72,41 +72,41 @@ bool PutEntry(Map& m, const ObjectKey& k, Bytes blob, uint64_t gen,
     }
   }
   family_bytes += blob.size();
+  e.version = Applied(version, e.version);
   e.blob = std::move(blob);
-  e.gen = new_gen;
   e.tombstone = false;
   return true;
 }
 
-// Turns a live entry into a tombstone at `gen`, keeping the accounting.
+// Turns a live entry into a tombstone at `version`, keeping the
+// accounting.
 template <typename EntryT>
-void Entomb(EntryT& e, uint64_t gen, uint64_t& family_bytes,
+void Entomb(EntryT& e, Version version, uint64_t& family_bytes,
             StorageStats& st) {
   family_bytes -= e.blob.size();
   --st.object_count;
   ++st.tombstone_count;
   e.blob = Bytes();
   e.tombstone = true;
-  e.gen = gen;
+  e.version = version;
 }
 
-// Applies a delete at `gen` (0 = bump). With tombstones off this is the
-// classic erase; with them on, the entry becomes (or stays) a tombstone
-// carrying the winning generation. Returns false only on a gen-gated
-// loss (the local entry is strictly newer — a delete wins its tie, the
-// mirror of PutEntry). Caller holds the shard's exclusive lock.
+// Applies a delete, gated exactly like PutEntry. With tombstones off this
+// is the classic erase; with them on, the entry becomes (or stays) a
+// tombstone at the delete's version. Caller holds the shard's exclusive
+// lock.
 template <typename Map>
-bool DeleteEntry(Map& m, const ObjectKey& k, uint64_t gen, bool tombstones,
+bool DeleteEntry(Map& m, const ObjectKey& k, Version version, bool tombstones,
                  StorageStats& st) {
   uint64_t& family_bytes = st.family_bytes[static_cast<size_t>(k.family)];
   auto it = m.find(k);
   if (it == m.end()) {
     if (tombstones) {
-      // Deleting an absent key still records the death: a gen-gated
-      // repair delete must land even on a replica that never saw the
-      // value, or the scrubber could not converge the quorum.
+      // Deleting an absent key still records the death: a repair delete
+      // must land even on a replica that never saw the value, or the
+      // scrubber could not converge the quorum.
       typename Map::mapped_type e;
-      e.gen = (gen == 0) ? 1 : gen;
+      e.version = Applied(version, Version{});
       e.tombstone = true;
       m.emplace(k, std::move(e));
       ++st.tombstone_count;
@@ -114,7 +114,7 @@ bool DeleteEntry(Map& m, const ObjectKey& k, uint64_t gen, bool tombstones,
     return true;
   }
   auto& e = it->second;
-  if (gen != 0 && gen < e.gen) return false;
+  if (version.stamped() && version <= e.version) return version == e.version;
   if (!tombstones) {
     if (e.tombstone) {
       --st.tombstone_count;
@@ -125,12 +125,11 @@ bool DeleteEntry(Map& m, const ObjectKey& k, uint64_t gen, bool tombstones,
     m.erase(it);
     return true;
   }
-  uint64_t new_gen = (gen == 0) ? (e.tombstone ? e.gen : e.gen + 1) : gen;
-  if (e.tombstone) {
-    e.gen = new_gen;
-  } else {
-    Entomb(e, new_gen, family_bytes, st);
-  }
+  if (!e.tombstone) {
+    Entomb(e, Applied(version, e.version), family_bytes, st);
+  } else if (version.stamped()) {
+    e.version = version;
+  }  // A local-bump delete of a dead key changes nothing.
   return true;
 }
 
@@ -148,10 +147,10 @@ ObjectStore::Shard& ObjectStore::ShardFor(uint64_t k1) const {
   return *shards_[MixKey(k1) % shards_.size()];
 }
 
-bool ObjectStore::Put(const ObjectKey& key, Bytes blob, uint64_t gen) {
+bool ObjectStore::Put(const ObjectKey& key, Bytes blob, Version version) {
   Shard& s = ShardFor(key.k1);
   auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.entries, key, std::move(blob), gen, s.stats);
+  return PutEntry(s.entries, key, std::move(blob), version, s.stats);
 }
 
 std::optional<Bytes> ObjectStore::Get(const ObjectKey& key) const {
@@ -162,19 +161,21 @@ std::optional<Bytes> ObjectStore::Get(const ObjectKey& key) const {
   return it->second.blob;
 }
 
-bool ObjectStore::Delete(const ObjectKey& key, uint64_t gen) {
+bool ObjectStore::Delete(const ObjectKey& key, Version version) {
   Shard& s = ShardFor(key.k1);
   auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.entries, key, gen, tombstones_enabled_, s.stats);
+  return DeleteEntry(s.entries, key, version, tombstones_enabled_, s.stats);
 }
 
-void ObjectStore::DeleteRange(ObjectFamily family, uint64_t k1) {
-  // With tombstones on, every live entry in the range becomes a
-  // tombstone at its own bumped generation (existing tombstones are left
-  // untouched). A key this node never stored gets no tombstone — quorum
-  // intersection covers that case: any quorum-acked write of the missing
-  // key shares at least one node with this delete's quorum (DESIGN.md
-  // §16).
+void ObjectStore::DeleteRange(ObjectFamily family, uint64_t k1,
+                              Version version) {
+  // With tombstones on, every entry in the range older than a stamped
+  // `version` becomes a tombstone at it; newer entries (a re-create
+  // that outran this delete) are spared. Unstamped, every live entry is
+  // entombed at its own bump. A key this node never stored gets no
+  // tombstone — quorum intersection covers that case: any quorum-acked
+  // write of the missing key shares at least one node with this delete's
+  // quorum (DESIGN.md §16).
   Shard& s = ShardFor(k1);
   auto lock = AcquireUnique(s.mu);
   uint64_t& family_bytes = s.stats.family_bytes[static_cast<size_t>(family)];
@@ -182,13 +183,19 @@ void ObjectStore::DeleteRange(ObjectFamily family, uint64_t k1) {
   while (it != s.entries.end() && it->first.family == family &&
          it->first.k1 == k1) {
     Entry& e = it->second;
-    if (tombstones_enabled_) {
-      if (!e.tombstone) Entomb(e, e.gen + 1, family_bytes, s.stats);
+    if (version.stamped() && version <= e.version) {
       ++it;
-    } else {
+    } else if (!tombstones_enabled_) {
       family_bytes -= e.blob.size();
       --s.stats.object_count;
       it = s.entries.erase(it);
+    } else {
+      if (!e.tombstone) {
+        Entomb(e, Applied(version, e.version), family_bytes, s.stats);
+      } else if (version.stamped()) {
+        e.version = version;
+      }
+      ++it;
     }
   }
 }
@@ -212,7 +219,7 @@ std::optional<ObjectStore::Versioned> ObjectStore::GetVersioned(
   auto lock = AcquireShared(s.mu);
   auto it = s.entries.find(key);
   if (it == s.entries.end()) return std::nullopt;
-  return Versioned{it->second.blob, it->second.gen, it->second.tombstone};
+  return Versioned{it->second.blob, it->second.version, it->second.tombstone};
 }
 
 std::vector<ObjectVersion> ObjectStore::ListVersions() const {
@@ -220,18 +227,18 @@ std::vector<ObjectVersion> ObjectStore::ListVersions() const {
   for (const auto& shard : shards_) {
     auto lock = AcquireShared(shard->mu);
     for (const auto& [key, e] : shard->entries) {
-      out.push_back({key, e.gen, e.tombstone});
+      out.push_back({key, e.version, e.tombstone});
     }
   }
   return out;
 }
 
-bool ObjectStore::RemoveTombstone(const ObjectKey& key, uint64_t gen) {
+bool ObjectStore::RemoveTombstone(const ObjectKey& key, Version version) {
   Shard& s = ShardFor(key.k1);
   auto lock = AcquireUnique(s.mu);
   auto it = s.entries.find(key);
   if (it == s.entries.end() || !it->second.tombstone ||
-      it->second.gen != gen) {
+      it->second.version != version) {
     return false;
   }
   --s.stats.tombstone_count;
@@ -256,13 +263,13 @@ StorageStats ObjectStore::Stats() const {
 namespace {
 
 // Snapshot image: magic, entry count, then per entry in key order
-// `family u8 | k1 u64 | k2 u64 | gen u64 | tombstone u8 | blob`.
-// Earlier images (one section per family, "SSP1"/"SSP2") are refused.
-constexpr uint32_t kStoreMagic = 0x53535033;     // "SSP3".
-constexpr uint32_t kStoreMagicV1 = 0x53535031;   // "SSP1".
-constexpr uint32_t kStoreMagicV2 = 0x53535032;   // "SSP2".
-// family + k1 + k2 + gen + tombstone + blob length.
-constexpr size_t kMinEntryWire = 1 + 8 + 8 + 8 + 1 + 4;
+// `family u8 | k1 u64 | k2 u64 | ts u64 | writer u64 | tombstone u8 |
+// blob`. Earlier images are refused: "SSP1"/"SSP2" had one section per
+// family, "SSP3" a replica-local u64 generation per entry.
+constexpr uint32_t kStoreMagic = 0x53535034;  // "SSP4".
+constexpr uint32_t kStoreMagicFirst = 0x53535031;  // "SSP1".
+// family + k1 + k2 + ts + writer + tombstone + blob length.
+constexpr size_t kMinEntryWire = 1 + 8 + 8 + 8 + 8 + 1 + 4;
 
 }  // namespace
 
@@ -279,7 +286,8 @@ Bytes ObjectStore::Serialize() const {
     w.PutU8(static_cast<uint8_t>(key.family));
     w.PutU64(key.k1);
     w.PutU64(key.k2);
-    w.PutU64(e.gen);
+    w.PutU64(e.version.ts);
+    w.PutU64(e.version.writer);
     w.PutU8(e.tombstone ? 1 : 0);
     w.PutBytes(e.blob);
   }
@@ -289,7 +297,7 @@ Bytes ObjectStore::Serialize() const {
 Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
   BinaryReader r(data);
   uint32_t magic = r.GetU32();
-  if (magic == kStoreMagicV1 || magic == kStoreMagicV2) {
+  if (magic >= kStoreMagicFirst && magic < kStoreMagic) {
     return Status::Corruption("unsupported store snapshot version");
   }
   if (!r.ok() || magic != kStoreMagic) {
@@ -306,7 +314,8 @@ Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
     key.k1 = r.GetU64();
     key.k2 = r.GetU64();
     Entry e;
-    e.gen = r.GetU64();
+    e.version.ts = r.GetU64();
+    e.version.writer = r.GetU64();
     e.tombstone = r.GetU8() != 0;
     e.blob = r.GetBytes();
     if (!r.ok()) return Status::Corruption("truncated store snapshot");

@@ -4,16 +4,19 @@
 // injection used by the integrity tests and storage accounting used by
 // the Scheme-1 / Scheme-2 cost ablation.
 //
-// Versioning: every entry carries a monotone per-key generation, bumped
-// on each put or delete of that key. In cluster mode (tombstones
-// enabled) a delete does not erase — it leaves a versioned tombstone, so
-// a replica that was down through the delete can later be told, with a
-// comparable generation, that the key is dead (DESIGN.md §16). Put and
-// Delete take an optional explicit generation for read repair and the
-// anti-entropy scrubber: they apply only if that generation wins against
-// the local entry (ties go to the tombstone), which is what makes repair
-// convergent and resurrection-free. Single-daemon deployments leave
-// tombstones disabled and get the classic erase semantics.
+// Versioning: every entry carries the Version (message.h) of the
+// mutation that produced it. In a cluster every mutation is stamped by
+// its writer, and a stamped put or delete applies iff its version is
+// greater than the entry's; an equal version is the same mutation
+// arriving again (a retry, a second quorum round, a repair) and is a
+// no-op that reports success. That one gate makes the client's writes,
+// read repair and the anti-entropy scrubber convergent and order-free.
+// In cluster mode (tombstones enabled) a delete does not erase: it
+// leaves a versioned tombstone, so a replica that was down through the
+// delete can later be told, with a comparable version, that the key is
+// dead (DESIGN.md §16). The single daemon sends unstamped mutations,
+// which bump the entry locally to {prev.ts + 1, 0}; it leaves tombstones
+// disabled and gets the classic erase semantics.
 //
 // Thread safety: the store is shard-striped. Keys are hash-partitioned
 // by their k1 component over N shards (default 16), each guarded by its
@@ -63,7 +66,7 @@ struct StorageStats {
 /// One entry as seen by the scrubber's enumeration.
 struct ObjectVersion {
   ObjectKey key;
-  uint64_t gen = 0;
+  Version version;
   bool tombstone = false;
 };
 
@@ -73,10 +76,10 @@ class ObjectStore {
  public:
   static constexpr size_t kDefaultShards = 16;
 
-  /// A versioned read result: live blob or tombstone, plus generation.
+  /// A versioned read result: live blob or tombstone, plus version.
   struct Versioned {
     Bytes blob;  // Empty for tombstones.
-    uint64_t gen = 0;
+    Version version;
     bool tombstone = false;
   };
 
@@ -98,41 +101,43 @@ class ObjectStore {
   void set_tombstones_enabled(bool on) { tombstones_enabled_ = on; }
   bool tombstones_enabled() const { return tombstones_enabled_; }
 
-  // Put and Delete take an optional explicit generation: gen == 0 means
-  // "bump the local generation", the normal client path. gen != 0 is the
-  // repair/scrub path: apply *at* that generation iff it beats the local
-  // entry (put loses to a tombstone at the same gen; delete wins the
-  // tie). The bool return says whether the op applied; ordinary callers
-  // ignore it.
-  bool Put(const ObjectKey& key, Bytes blob, uint64_t gen = 0);
+  // Put, Delete and DeleteRange take the mutation's version. A stamped
+  // version applies iff it is greater than the entry's (equal: already
+  // applied, a no-op). The zero version is the single daemon's local
+  // bump to {prev.ts + 1, 0}, which skips an op that would change
+  // nothing so that replay leaves the store byte-identical. The bool
+  // return is false only when a stamped op lost to a newer entry;
+  // ordinary callers ignore it.
+  bool Put(const ObjectKey& key, Bytes blob, Version version = {});
   /// The live blob; tombstones read as absent.
   std::optional<Bytes> Get(const ObjectKey& key) const;
-  bool Delete(const ObjectKey& key, uint64_t gen = 0);
+  bool Delete(const ObjectKey& key, Version version = {});
   /// Deletes every object of `family` whose k1 is `k1` (every metadata
   /// replica, or every data block, of one inode). With tombstones on,
-  /// each live entry becomes a tombstone at its own bumped generation;
-  /// keys this store never held get no tombstone.
-  void DeleteRange(ObjectFamily family, uint64_t k1);
+  /// each entry older than `version` becomes a tombstone at it (unstamped:
+  /// each live entry at its own bump); keys this store never held get no
+  /// tombstone.
+  void DeleteRange(ObjectFamily family, uint64_t k1, Version version = {});
   /// Number of live (non-tombstone) objects of `family` under `k1`.
   size_t LiveCount(ObjectFamily family, uint64_t k1) const;
 
   /// Versioned read for the wire's want_version path and the scrubber:
-  /// the entry (tombstones included, with their generation) or nullopt
-  /// if the key is absent entirely.
+  /// the entry (tombstones included, with their version) or nullopt if
+  /// the key is absent entirely.
   std::optional<Versioned> GetVersioned(const ObjectKey& key) const;
 
-  /// Every entry in the store, tombstones included, with generations.
+  /// Every entry in the store, tombstones included, with versions.
   /// Snapshot-consistent per shard, not across shards — exactly what the
   /// scrubber needs for an anti-entropy pass (it re-checks each key
   /// against live replicas anyway).
   std::vector<ObjectVersion> ListVersions() const;
 
   /// Tombstone GC: removes the entry iff it is still a tombstone at
-  /// exactly `gen` (a concurrent re-create or newer delete aborts the
-  /// purge). Returns whether it was removed. Deliberately NOT WAL-logged
-  /// by callers: replay may resurrect a purged tombstone, which is
-  /// harmless — the next full-quorum scrub pass re-collects it.
-  bool RemoveTombstone(const ObjectKey& key, uint64_t gen);
+  /// exactly `version` (a concurrent re-create or newer delete aborts
+  /// the purge). Returns whether it was removed. Deliberately NOT
+  /// WAL-logged by callers: replay may resurrect a purged tombstone,
+  /// which is harmless — the next full-quorum scrub pass re-collects it.
+  bool RemoveTombstone(const ObjectKey& key, Version version);
 
   /// Aggregates the per-shard counters (shared-locking one shard at a
   /// time, so the result is a consistent per-shard but not cross-shard
@@ -145,7 +150,7 @@ class ObjectStore {
   /// store only ever holds ciphertext, so the snapshot is as opaque to
   /// its holder as the live store is to the SSP. The snapshot is
   /// byte-deterministic (globally key-sorted) regardless of shard count,
-  /// and carries every entry's generation and tombstone flag.
+  /// and carries every entry's version and tombstone flag.
   Bytes Serialize() const;
   static Result<ObjectStore> Deserialize(const Bytes& data);
 
@@ -154,15 +159,15 @@ class ObjectStore {
   /// key is absent or holds no bytes.
   bool Corrupt(const ObjectKey& key, size_t offset, uint8_t mask = 0xFF);
   /// Replaces a live blob wholesale (rollback / substitution attack),
-  /// keeping its generation.
+  /// keeping its version.
   bool Replace(const ObjectKey& key, Bytes blob);
 
  private:
-  /// One stored value: blob + generation + liveness. Tombstones keep an
+  /// One stored value: blob + version + liveness. Tombstones keep an
   /// empty blob so the byte accounting needs no special cases.
   struct Entry {
     Bytes blob;
-    uint64_t gen = 0;
+    Version version;
     bool tombstone = false;
   };
 

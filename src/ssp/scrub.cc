@@ -13,11 +13,9 @@ namespace sharoes::ssp {
 namespace {
 
 /// One replica's decoded versioned answer for one key.
-struct ReplicaView {
+struct ReplicaView : VersionedReply {
   uint32_t node_index = 0;
   bool self = false;
-  bool replied = false;
-  VersionedReply reply;
 };
 
 }  // namespace
@@ -57,111 +55,56 @@ ScrubPass Scrubber::RunOnce() {
   // key is then re-read versioned from every replica, so entries that
   // changed since the listing are judged on fresh state.
   for (const ObjectVersion& entry : server_->store().ListVersions()) {
-    Request get = Request::Get(entry.key);
     const uint64_t key = RoutingKeyOf(entry.key);
     // Strays from an older ring epoch: their current owners scrub them.
     if (!ring_->Owns(node_id_, key)) continue;
     ++pass.examined;
+    Request get = Request::Get(entry.key);
     get.want_version = true;
 
     const std::vector<uint32_t> replicas = ring_->ReplicaIndicesFor(key);
-    std::vector<ReplicaView> views(replicas.size());
-    bool all_replied = true;
-    for (size_t pos = 0; pos < replicas.size(); ++pos) {
-      ReplicaView& view = views[pos];
-      view.node_index = replicas[pos];
-      view.self = config.nodes[replicas[pos]].id == node_id_;
-      auto resp = replica_call(replicas[pos], get);
-      view.replied = resp.ok() && DecodeVersionedReply(*resp, &view.reply);
-      if (!view.replied) {
-        all_replied = false;
+    std::vector<ReplicaView> views;
+    for (uint32_t node_index : replicas) {
+      ReplicaView view;
+      view.node_index = node_index;
+      view.self = config.nodes[node_index].id == node_id_;
+      auto resp = replica_call(node_index, get);
+      if (resp.ok() && DecodeVersionedReply(*resp, &view)) {
+        views.push_back(std::move(view));
+      } else {
         ++pass.unreachable;
       }
     }
+    const bool all_replied = views.size() == replicas.size();
 
-    // Freshest acknowledged state: highest generation, tombstone
-    // winning ties (same rule as the client's SettleRead; rationale in
-    // DESIGN.md §16).
-    uint64_t max_gen = 0;
+    // Converge on the freshest state with the client's read-repair
+    // rule; a repeated repair is a no-op at the receiving store.
+    auto winner = Freshest(views.begin(), views.end());
+    if (winner == views.end()) continue;
+    bool any_live = false;
     for (const ReplicaView& v : views) {
-      if (v.replied && v.reply.status != RespStatus::kNotFound &&
-          v.reply.gen > max_gen) {
-        max_gen = v.reply.gen;
-      }
-    }
-    bool deleted_wins = false;
-    const ReplicaView* live_winner = nullptr;
-    bool live_ambiguous = false;
-    for (const ReplicaView& v : views) {
-      if (!v.replied) continue;
-      if (v.reply.status == RespStatus::kDeleted && v.reply.gen == max_gen) {
-        deleted_wins = true;
-      }
-      if (v.reply.status == RespStatus::kOk && v.reply.gen == max_gen) {
-        if (live_winner == nullptr) {
-          live_winner = &v;
-        } else if (v.reply.payload != live_winner->reply.payload) {
-          // Same generation, different bytes: diverged histories with
-          // no local evidence to rank them. Leave the key for a client
-          // read (which has session fingerprints) rather than guess —
-          // a wrong scrub repair would propagate the guess to all K.
-          live_ambiguous = true;
-        }
-      }
-    }
-
-    auto repair = [&](const ReplicaView& target, Request fix) {
-      fix.has_store_gen = true;
-      fix.store_gen = max_gen;
-      auto r = replica_call(target.node_index, fix);
+      any_live = any_live || v.status == RespStatus::kOk;
+      auto fix = RepairOp(entry.key, *winner, v);
+      if (!fix.has_value()) continue;
+      auto r = replica_call(v.node_index, *fix);
       ++pass.repaired;
-      if (!r.ok() || (r->status != RespStatus::kOk &&
-                      r->status != RespStatus::kNotFound)) {
+      if (!r.ok() || r->status != RespStatus::kOk) {
         obs::Log(obs::Severity::kWarn, "ssp.scrub.repair_failed",
-                 {{"node", config.nodes[target.node_index].id},
-                  {"op", OpCodeName(fix.op)}});
+                 {{"node", config.nodes[v.node_index].id},
+                  {"op", OpCodeName(fix->op)}});
       }
-    };
-
-    if (deleted_wins) {
-      // Re-delete onto live stragglers only — never onto replicas that
-      // answered missing (absence already agrees with deletion, and
-      // re-creating the tombstone there would fight GC forever).
-      bool any_live = false;
-      for (const ReplicaView& v : views) {
-        if (v.replied && v.reply.status == RespStatus::kOk) {
-          any_live = true;
-          repair(v, Request::Delete(entry.key));
-        }
-      }
-      // GC: only with a FULL quorum of replies, none of them live. One
-      // unreachable replica could be holding a fresher re-create, so it
-      // vetoes the purge. Each daemon purges only its own tombstone, at
-      // the exact generation it just observed (a concurrent re-create
-      // aborts inside RemoveTombstone).
-      if (all_replied && !any_live) {
-        for (const ReplicaView& v : views) {
-          if (v.self && v.reply.status == RespStatus::kDeleted &&
-              server_->store().RemoveTombstone(entry.key, v.reply.gen)) {
-            ++pass.tombstones_gc;
-          }
-        }
-      }
-      continue;
     }
-
-    if (live_winner != nullptr && !live_ambiguous) {
+    // GC: only with a FULL quorum of replies, none of them live. One
+    // unreachable replica could be holding a fresher re-create, so it
+    // vetoes the purge. Each daemon purges only its own tombstone, at
+    // the exact version it just observed (a concurrent re-create aborts
+    // inside RemoveTombstone).
+    if (winner->status == RespStatus::kDeleted && all_replied && !any_live) {
       for (const ReplicaView& v : views) {
-        if (!v.replied || &v == live_winner) continue;
-        const bool current = v.reply.status == RespStatus::kOk &&
-                             v.reply.gen == max_gen &&
-                             v.reply.payload == live_winner->reply.payload;
-        if (current) continue;
-        // Stale live copy, lower-generation tombstone (a legitimate
-        // delete-then-recreate), or missing: re-put the winner at its
-        // generation. Gen-gating on the receiving store protects any
-        // concurrent fresher op.
-        repair(v, Request::Put(entry.key, live_winner->reply.payload));
+        if (v.self && v.status == RespStatus::kDeleted &&
+            server_->store().RemoveTombstone(entry.key, v.version)) {
+          ++pass.tombstones_gc;
+        }
       }
     }
   }

@@ -5,12 +5,13 @@
 // closes the gap: each daemon periodically walks its own store
 // (tombstones included), asks ALL K placement replicas of every key it
 // owns for their versioned state (an R=K read: no stale copy can hide),
-// and converges the replica set toward the freshest acknowledged state —
-// re-putting live winners onto stale or missing replicas, re-deleting
-// tombstone winners onto live stragglers. Repairs are gen-gated exactly
-// like the client's read repair, so a concurrent fresher write is never
-// clobbered, and every local repair goes through SspServer::Handle so it
-// is WAL-logged and survives restart.
+// and converges the replica set toward the freshest state — the reply
+// with the greatest version (ssp::Freshest, the client's quorum-read rule
+// too) — re-putting live winners onto replicas below them, re-deleting
+// tombstone winners onto live stragglers below them. Each repair carries
+// the winner's own version, so the receiving store's version gate never
+// lets it clobber a concurrent fresher write, and every local repair goes
+// through SspServer::Handle so it is WAL-logged and survives restart.
 //
 // Tombstone GC: a tombstone may only be purged once it is provably
 // redundant — when a FULL quorum pass (all K replicas actually replied;
@@ -47,7 +48,7 @@ namespace sharoes::ssp {
 /// registry as ssp.scrub.{runs,repaired,tombstones_gc}).
 struct ScrubPass {
   uint64_t examined = 0;       // Owned keys checked against all replicas.
-  uint64_t repaired = 0;       // Gen-gated repair ops issued (local+remote).
+  uint64_t repaired = 0;       // Versioned repair ops issued (local+remote).
   uint64_t tombstones_gc = 0;  // Local tombstones purged after full quorum.
   uint64_t unreachable = 0;    // Replica reads that failed (blocks GC).
 };

@@ -246,6 +246,16 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
                 {"trace", obs::TraceIdHex(obs::CurrentTrace().trace_id)}});
       return Response::WrongShard();
     }
+    // A cluster replica orders copies by writer-assigned versions only;
+    // an unstamped mutation would apply a local bump that means nothing
+    // on the other replicas, so it is refused before the WAL sees it.
+    if (IsMutatingOp(req.op) && !req.version.stamped()) {
+      obs::Log(obs::Severity::kWarn, "ssp.unstamped_mutation",
+               {{"op", OpCodeName(req.op)},
+                {"k1", req.key.k1},
+                {"trace", obs::TraceIdHex(obs::CurrentTrace().trace_id)}});
+      return Response::BadRequest();
+    }
   }
   // Mutations funnel through the same ApplyWalOp the recovery path
   // replays, so a recovered store is byte-identical by construction.
@@ -296,12 +306,12 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
   obs::PhaseScope store_phase(obs::Phase::kStore);
   if (want_version) {
     // Versioned read (quorum/repair/scrub path): expose the entry's
-    // generation, and distinguish "deleted" (tombstone, comparable) from
+    // version, and distinguish "deleted" (tombstone, comparable) from
     // "never heard of it" (plain kNotFound).
     auto v = store_.GetVersioned(req.key);
     if (!v.has_value()) return Response::NotFound();
-    if (v->tombstone) return Response::Deleted(v->gen);
-    return Response::Versioned(std::move(v->blob), v->gen);
+    if (v->tombstone) return Response::Deleted(v->version);
+    return Response::Versioned(std::move(v->blob), v->version);
   }
   auto blob = store_.Get(req.key);
   if (!blob.has_value()) return Response::NotFound();

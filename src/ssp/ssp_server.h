@@ -68,9 +68,12 @@ class SspServer {
   /// op — top-level or batch sub-op — whose routing key this daemon does
   /// not replicate is answered kWrongShard without executing or logging
   /// it, so a client holding a stale cluster config can never scatter
-  /// writes onto non-owners. nullptr disarms (the single-daemon default:
-  /// no config, own everything). `ring` must outlive the server; install
-  /// before serving begins, like set_wal.
+  /// writes onto non-owners. An armed server is a cluster replica, so it
+  /// also answers kBadRequest to any unstamped mutation (no Version),
+  /// before the WAL. nullptr disarms (the single-daemon default: no
+  /// config, own everything, unstamped mutations bump locally). `ring`
+  /// must outlive the server; install before serving begins, like
+  /// set_wal.
   void set_placement(const PlacementRing* ring, uint32_t node_id) {
     placement_node_ = node_id;
     placement_.store(ring, std::memory_order_release);
@@ -82,7 +85,7 @@ class SspServer {
   /// assigned — Handle() commits through the highest one, so a whole
   /// batch shares a single durability point. `want_version` is the
   /// top-level frame's versioned-read flag (a kBatch's flag covers all
-  /// sub-reads): live hits gain an 8-byte generation suffix, tombstones
+  /// sub-reads): live hits gain a 16-byte version suffix, tombstones
   /// answer kDeleted instead of kNotFound.
   Response HandleOne(const Request& req, bool want_version,
                      uint64_t* max_wal_seq);

@@ -221,21 +221,19 @@ Bytes EncodeWalRecord(uint64_t seq, const Bytes& payload) {
 }
 
 Status ApplyWalOp(const Request& op, ObjectStore* store) {
-  // Repair/scrub mutations carry an explicit store generation as a
-  // request extension; since Wal::Append logs op.Serialize(), the
-  // generation rides into the log and replay re-applies it gen-gated,
-  // exactly like the live apply. gen == 0 is the ordinary client path
-  // (bump the local generation).
-  const uint64_t gen = op.has_store_gen ? op.store_gen : 0;
+  // A cluster mutation's version is part of its request encoding, so
+  // it rides into the log and replay re-applies it version-gated,
+  // exactly like the live apply. An unstamped op is the single daemon's
+  // local bump.
   switch (op.op) {
     case OpCode::kPut:
-      store->Put(op.key, op.payload, gen);
+      store->Put(op.key, op.payload, op.version);
       return Status::OK();
     case OpCode::kDelete:
-      store->Delete(op.key, gen);
+      store->Delete(op.key, op.version);
       return Status::OK();
     case OpCode::kDeleteRange:
-      store->DeleteRange(op.key.family, op.key.k1);
+      store->DeleteRange(op.key.family, op.key.k1, op.version);
       return Status::OK();
     default:
       return Status::Corruption("non-mutating op in WAL record");
@@ -668,7 +666,7 @@ Status Wal::Compact() {
     }
     // Phase 2 — the image, still under the exclusive gate so it is
     // exactly the state at `cut`: replay of the new segment applies each
-    // later op exactly once, which keeps per-entry generations identical
+    // later op exactly once, which keeps per-entry versions identical
     // between the recovered and the live store. (Serving threads block
     // only for the in-memory Serialize; the disk write below happens
     // with serving live.)

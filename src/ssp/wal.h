@@ -83,10 +83,11 @@ struct WalRecoveryInfo {
 
 inline constexpr uint32_t kWalMagic = 0x314C5753;      // "SWL1".
 inline constexpr uint32_t kWalSnapshotMagic = 0x314E5353;  // "SSN1".
-// Version 2: records carry the typed-key request encoding and snapshots
-// the single-map store image. Version-1 segments and snapshots are
-// refused as Corruption("unsupported ...").
-inline constexpr uint32_t kWalVersion = 2;
+// Version 3: records carry the typed-key request encoding with its
+// optional writer-assigned Version, and snapshots the "SSP4" store image
+// (a Version per entry). Version-1 and version-2 segments and snapshots
+// are refused as Corruption("unsupported ...").
+inline constexpr uint32_t kWalVersion = 3;
 inline constexpr size_t kWalSegmentHeaderSize = 16;  // magic+version+base.
 inline constexpr size_t kWalRecordHeaderSize = 8;    // len + crc.
 /// Upper bound on one record's framed body (seq + payload). A request

@@ -104,6 +104,17 @@ TEST(FuzzMutation, BitFlippedValidEncodings) {
         ssp::Request::Delete(ssp::ObjectKey::GroupKey(500, 7)).Serialize());
     corpus.push_back(
         ssp::Request::DeleteRange(ssp::ObjectFamily::kData, 9).Serialize());
+    // Writer-stamped mutations: a top-level put and a batch sub-op.
+    ssp::Request stamped =
+        ssp::Request::Put(ssp::ObjectKey::Data(3, 1), {4, 5, 6});
+    stamped.version = {0x0123456789ABCDEFull, 0xFEDCBA9876543210ull};
+    corpus.push_back(stamped.Serialize());
+    corpus.push_back(
+        ssp::Request::Batch(
+            {ssp::Request::Get(ssp::ObjectKey::Data(3, 0)), stamped})
+            .Serialize());
+    corpus.push_back(
+        ssp::Response::Versioned({7, 7}, stamped.version).Serialize());
     corpus.push_back(ssp::Response::Ok({9, 9}).Serialize());
     core::MasterTable master;
     core::MasterEntry e;

@@ -54,6 +54,13 @@ std::vector<Request> CorpusOps() {
   ops.push_back(Request::Put(ObjectKey::GroupKey(500, 42), {5, 6}));
   ops.push_back(Request::Put(ObjectKey::UserMetadata(7, 42), {7, 7, 7}));
   ops.push_back(Request::DeleteRange(ObjectFamily::kData, 9));
+  // Cluster mutations: the writer-assigned version rides in the record.
+  for (Request op : {Request::Put(ObjectKey::Data(8, 1), {4, 4}),
+                     Request::Delete(ObjectKey::Data(8, 1)),
+                     Request::DeleteRange(ObjectFamily::kData, 7)}) {
+    op.version = {1000 + ops.size(), 3};
+    ops.push_back(std::move(op));
+  }
   return ops;
 }
 
@@ -412,12 +419,13 @@ void ExpectUnsupported(const std::string& dir) {
 }
 
 TEST(WalFuzz, RefusesEarlierFormatVersions) {
-  // Version-1 segments carried the per-family request encoding; they
-  // are refused, never replayed under the new decoder.
-  {
+  // Version-1 segments carried the per-family request encoding and
+  // version-2 segments the replica-local store-generation extension;
+  // both are refused, never replayed under the new decoder.
+  for (uint32_t old_version : {1u, 2u}) {
     BinaryWriter w;
     w.PutU32(kWalMagic);
-    w.PutU32(1);
+    w.PutU32(old_version);
     w.PutU64(0);
     Bytes seg = w.Take();
     Bytes record = EncodeWalRecord(
@@ -429,14 +437,15 @@ TEST(WalFuzz, RefusesEarlierFormatVersions) {
     EXPECT_NE(replay.status().ToString().find("unsupported"),
               std::string::npos);
     EXPECT_EQ(store.Stats().object_count, 0u);
-    std::string dir = FreshDir("v1_segment");
+    std::string dir = FreshDir("v" + std::to_string(old_version) + "_segment");
     ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
     ASSERT_TRUE(WriteFile(dir + "/wal-00000000000000000000.log", seg).ok());
     ExpectUnsupported(dir);
   }
-  // A version-1 snapshot header.
-  {
-    std::string dir = FreshDir("v1_snapshot");
+  // Version-1 and version-2 snapshot headers.
+  for (uint8_t old_version : {uint8_t{1}, uint8_t{2}}) {
+    std::string dir =
+        FreshDir("v" + std::to_string(old_version) + "_snapshot");
     {
       ObjectStore store;
       auto wal = Wal::Open(dir, WalOptions{}, &store);
@@ -450,18 +459,24 @@ TEST(WalFuzz, RefusesEarlierFormatVersions) {
     std::string snap_path = dir + "/snapshot";
     std::FILE* f = std::fopen(snap_path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    const uint8_t v1[4] = {1, 0, 0, 0};  // Little-endian version field.
+    // Little-endian version field.
+    const uint8_t old[4] = {old_version, 0, 0, 0};
     ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
-    ASSERT_EQ(std::fwrite(v1, 1, 4, f), 4u);
+    ASSERT_EQ(std::fwrite(old, 1, 4, f), 4u);
     std::fclose(f);
     ExpectUnsupported(dir);
   }
-  // A current snapshot header whose store image is the earlier
-  // per-family-section format ("SSP2", five empty sections).
-  {
+  // A current snapshot header whose store image is an earlier format:
+  // "SSP2" (five empty per-family sections) or "SSP3" (an empty map of
+  // per-entry store generations).
+  for (uint32_t image_magic : {0x53535032u, 0x53535033u}) {
     BinaryWriter image;
-    image.PutU32(0x53535032);
-    for (int section = 0; section < 5; ++section) image.PutU32(0);
+    image.PutU32(image_magic);
+    if (image_magic == 0x53535032u) {
+      for (int section = 0; section < 5; ++section) image.PutU32(0);
+    } else {
+      image.PutU64(0);
+    }
     const Bytes body = image.Take();
     BinaryWriter w;
     w.PutU32(kWalSnapshotMagic);
@@ -469,7 +484,7 @@ TEST(WalFuzz, RefusesEarlierFormatVersions) {
     w.PutU64(0);
     w.PutU32(WalCrc32(body.data(), body.size()));
     w.PutRaw(body);
-    std::string dir = FreshDir("ssp2_image");
+    std::string dir = FreshDir("image_" + std::to_string(image_magic));
     ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
     ASSERT_TRUE(WriteFile(dir + "/snapshot", w.Take()).ok());
     ExpectUnsupported(dir);

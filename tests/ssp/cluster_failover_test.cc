@@ -164,10 +164,10 @@ TEST(ClusterFailover, QuorumReadRepairsAReplicaThatMissedAWrite) {
           .has_value())
       << "node 2 must start amnesiac for the divergence to be real";
 
-  // A FRESH channel (no session fingerprint of the write) must still
-  // return the quorum-fresh copy: the preferred replica answers
-  // kNotFound, the overlap replica answers v2, and the winner repairs
-  // the amnesiac inline.
+  // A FRESH channel (it never saw the write) must still return the
+  // quorum-fresh copy: the preferred replica answers kNotFound, the
+  // overlap replica answers v2, and the winner repairs the amnesiac
+  // inline.
   auto reader = cluster.MakeChannel();
   ASSERT_NE(reader, nullptr);
   auto got = reader->Call(Request::Get(ObjectKey::Data(inode, 0)));
@@ -180,7 +180,7 @@ TEST(ClusterFailover, QuorumReadRepairsAReplicaThatMissedAWrite) {
   ASSERT_TRUE(healed.has_value()) << "read repair did not re-put";
   EXPECT_EQ(*healed, v2);
 
-  // And the writing channel recognizes its own write by fingerprint.
+  // And the writing channel reads its own write back.
   auto own = writer->Call(Request::Get(ObjectKey::Data(inode, 0)));
   ASSERT_TRUE(own.ok());
   ASSERT_EQ(own->status, RespStatus::kOk);
@@ -266,9 +266,8 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
            "divergence to be real";
   }
 
-  // Read-repair leg: a FRESH channel (no session marks — this client
-  // never saw the delete) must still see it, and push it onto the
-  // amnesiac inline.
+  // Read-repair leg: a FRESH channel (this client never saw the
+  // delete) must still see it, and push it onto the amnesiac inline.
   auto reader = cluster.MakeChannel();
   ASSERT_NE(reader, nullptr);
   auto got = reader->Call(Request::Get(ObjectKey::Data(inodes[0], 0)));
@@ -278,8 +277,7 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
       cluster.node(2)->server()->store().Get(ObjectKey::Data(inodes[0], 0))
           .has_value())
       << "read repair did not re-delete the stale copy";
-  // The deleting channel agrees with itself, too (its session mark was
-  // flipped by the delete, not erased).
+  // The deleting channel agrees with itself, too.
   auto own = writer->Call(Request::Get(ObjectKey::Data(inodes[0], 0)));
   ASSERT_TRUE(own.ok()) << own.status();
   EXPECT_EQ(own->status, RespStatus::kNotFound);
@@ -365,6 +363,69 @@ TEST(ClusterFailover, WithoutTombstonesTheSameRestartResurrectsTheKey) {
       << "erase-style delete did NOT resurrect — the positive leg above "
          "is proving nothing";
   EXPECT_EQ(got->payload, v);
+}
+
+TEST(ClusterFailover, RecreateAfterDeleteSurvivesADoubleFailure) {
+  // Replicas A, B and C all hold v1. The delete is acked by B and C while
+  // A is down; the re-create v3 is acked by A and C while B is down; then
+  // C fails. A (live v3) and B (the tombstone) have each applied two ops
+  // to the key, so replica-local counters tie between them, and a
+  // "tombstone wins ties" rule answers kNotFound for an acked write —
+  // then read repair re-deletes A's copy of it. Writer-assigned versions
+  // order the re-create after the delete, so the answer is v3.
+  TestCluster cluster(ReplicatedWal("failover_recreate"));
+  cluster.Start();
+  constexpr int kA = 0, kB = 1, kC = 2;
+  const ObjectKey key = ObjectKey::Data(7, 0);
+  const Bytes v1{0x5E, 0xED, 0x01};
+  const Bytes v3{0x5E, 0xED, 0x03};
+  auto holds = [&](int node, const Bytes& want) {
+    auto copy = cluster.node(node)->server()->store().Get(key);
+    return copy.has_value() && *copy == want;
+  };
+
+  auto writer = cluster.MakeChannel();
+  ASSERT_NE(writer, nullptr);
+  auto put = writer->Call(Request::Put(key, v1));
+  ASSERT_TRUE(put.ok()) << put.status();
+  ASSERT_EQ(put->status, RespStatus::kOk);
+  for (int node : {kA, kB, kC}) {
+    ASSERT_TRUE(Eventually([&] { return holds(node, v1); }))
+        << "node " << node << " never received v1";
+  }
+
+  cluster.node(kA)->KillHard();
+  auto del = writer->Call(Request::Delete(key));
+  ASSERT_TRUE(del.ok()) << del.status();
+  ASSERT_EQ(del->status, RespStatus::kOk) << "B and C must ack the delete";
+  cluster.node(kA)->Restart();
+  ASSERT_TRUE(holds(kA, v1)) << "A must have slept through the delete";
+
+  cluster.node(kB)->KillHard();
+  auto recreate = writer->Call(Request::Put(key, v3));
+  ASSERT_TRUE(recreate.ok()) << recreate.status();
+  ASSERT_EQ(recreate->status, RespStatus::kOk) << "A and C must ack v3";
+  cluster.node(kB)->Restart();
+  ASSERT_FALSE(cluster.node(kB)->server()->store().Get(key).has_value())
+      << "B must have slept through the re-create";
+  cluster.node(kC)->KillHard();
+
+  // A fresh reader can only assemble its quorum from A and B.
+  auto reader = cluster.MakeChannel();
+  ASSERT_NE(reader, nullptr);
+  auto got = reader->Call(Request::Get(key));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->status, RespStatus::kOk) << "the acked re-create was lost";
+  EXPECT_EQ(got->payload, v3);
+  EXPECT_TRUE(holds(kA, v3)) << "read repair destroyed A's copy of v3";
+
+  cluster.node(kC)->Restart();
+  auto scrub = cluster.MakeScrubber(kA);
+  ScrubPass pass = scrub->RunOnce();
+  EXPECT_EQ(pass.unreachable, 0u);
+  for (int node : {kA, kB, kC}) {
+    EXPECT_TRUE(holds(node, v3)) << "node " << node << " lost v3";
+  }
 }
 
 TEST(ClusterFailover, WithoutReplicationAndRetriesTheSameKillIsFatal) {

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "net/network_model.h"
+#include "ssp/placement.h"
 #include "ssp/ssp_server.h"
+#include "ssp/wal.h"
 #include "util/binary_io.h"
 
 namespace sharoes::ssp {
@@ -102,6 +107,118 @@ TEST(MessageTest, RequestHeaderIs26Bytes) {
             29u);
 }
 
+TEST(MessageTest, StampedMutationsRoundTripUnstampedStayByteIdentical) {
+  const Version v{0x0123456789ull, 0xFEEDull};
+  for (Request req : {Request::Put(ObjectKey::Data(4, 2), {1, 2, 3}),
+                      Request::Delete(ObjectKey::Metadata(4, 1)),
+                      Request::DeleteRange(ObjectFamily::kData, 4)}) {
+    const Bytes plain = req.Serialize();
+    req.version = v;
+    const Bytes stamped = req.Serialize();
+    // The verb byte gains the flag and 16 version bytes follow the key;
+    // everything else is the unstamped encoding.
+    ASSERT_EQ(stamped.size(), plain.size() + 16);
+    EXPECT_EQ(stamped[0], plain[0] | kOpVersionFlag);
+    EXPECT_EQ(Bytes(stamped.begin() + 1, stamped.begin() + 18),
+              Bytes(plain.begin() + 1, plain.begin() + 18));
+    EXPECT_EQ(Bytes(stamped.begin() + 34, stamped.end()),
+              Bytes(plain.begin() + 18, plain.end()));
+    auto back = Request::Deserialize(stamped);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(back->op, req.op);
+    EXPECT_EQ(back->key, req.key);
+    EXPECT_EQ(back->payload, req.payload);
+    EXPECT_EQ(back->version, v);
+    EXPECT_EQ(back->Serialize(), stamped);
+  }
+  // A sub-op keeps its own version inside a batch.
+  Request sub = Request::Put(ObjectKey::Data(2, 0), {7});
+  sub.version = v;
+  auto back = Request::Deserialize(
+      Request::Batch({Request::Get(ObjectKey::Data(2, 0)), sub}).Serialize());
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->batch.size(), 2u);
+  EXPECT_FALSE(back->batch[0].version.stamped());
+  EXPECT_EQ(back->batch[1].version, v);
+}
+
+TEST(MessageTest, DeserializeRejectsMisplacedVersions) {
+  // Splices a flag and 16 version bytes into an unstamped encoding.
+  auto stamp = [](Bytes wire, size_t at, Version v) {
+    wire[at] |= kOpVersionFlag;
+    BinaryWriter w;
+    w.PutU64(v.ts);
+    w.PutU64(v.writer);
+    const Bytes raw = w.Take();
+    wire.insert(wire.begin() + static_cast<ptrdiff_t>(at + 18), raw.begin(),
+                raw.end());
+    return wire;
+  };
+  auto corrupt = [](const Bytes& wire) {
+    auto back = Request::Deserialize(wire);
+    return !back.ok() && back.status().IsCorruption();
+  };
+  const Version v{5, 9};
+  // A version on a read, top-level or as a batch sub-op.
+  EXPECT_TRUE(corrupt(stamp(Request::Get(ObjectKey::Data(1, 0)).Serialize(),
+                            0, v)));
+  EXPECT_TRUE(corrupt(stamp(
+      Request::Batch({Request::Get(ObjectKey::Data(1, 0))}).Serialize(), 26,
+      v)));
+  // A version on the batch envelope or an admin verb.
+  EXPECT_TRUE(corrupt(stamp(
+      Request::Batch({Request::Put(ObjectKey::Data(1, 0), {1})}).Serialize(),
+      0, v)));
+  EXPECT_TRUE(corrupt(stamp(Request::GetStats().Serialize(), 0, v)));
+  // The flag with a zero version behind it.
+  EXPECT_TRUE(corrupt(
+      stamp(Request::Put(ObjectKey::Data(1, 0), {1}).Serialize(), 0, {})));
+  // The same splice with a real version on a put is the valid encoding.
+  EXPECT_FALSE(corrupt(
+      stamp(Request::Put(ObjectKey::Data(1, 0), {1}).Serialize(), 0, v)));
+}
+
+TEST(MessageTest, VersionedRepliesCarryTheVersion) {
+  const Version v{99, 5};
+  VersionedReply r;
+  ASSERT_TRUE(DecodeVersionedReply(Response::Versioned({1, 2}, v), &r));
+  EXPECT_EQ(r.status, RespStatus::kOk);
+  EXPECT_EQ(r.payload, (Bytes{1, 2}));
+  EXPECT_EQ(r.version, v);
+  ASSERT_TRUE(DecodeVersionedReply(Response::Deleted(v), &r));
+  EXPECT_EQ(r.status, RespStatus::kDeleted);
+  EXPECT_TRUE(r.payload.empty());
+  EXPECT_EQ(r.version, v);
+  ASSERT_TRUE(DecodeVersionedReply(Response::NotFound(), &r));
+  EXPECT_FALSE(r.version.stamped());
+  // Too short to hold a version, or a status that says nothing.
+  EXPECT_FALSE(DecodeVersionedReply(Response::Ok(Bytes(15, 0)), &r));
+  EXPECT_FALSE(DecodeVersionedReply(Response::Error(), &r));
+}
+
+TEST(MessageTest, FreshestIsTheGreatestVersion) {
+  auto reply = [](RespStatus status, Version v) {
+    VersionedReply r;
+    r.status = status;
+    r.version = v;
+    return r;
+  };
+  std::vector<VersionedReply> replies = {
+      reply(RespStatus::kNotFound, {}),
+      reply(RespStatus::kDeleted, {20, 1}),
+      reply(RespStatus::kOk, {20, 2}),  // Same tick, greater writer id.
+      reply(RespStatus::kOk, {10, 9}),
+  };
+  EXPECT_EQ(Freshest(replies.begin(), replies.end()) - replies.begin(), 2);
+  replies[1].version = {21, 0};  // A later delete beats the live copies.
+  EXPECT_EQ(Freshest(replies.begin(), replies.end()) - replies.begin(), 1);
+  // Anything stored beats a replica that never heard of the key.
+  std::vector<VersionedReply> sparse = {reply(RespStatus::kNotFound, {}),
+                                        reply(RespStatus::kDeleted, {1, 0})};
+  EXPECT_EQ(Freshest(sparse.begin(), sparse.end()) - sparse.begin(), 1);
+  EXPECT_EQ(Freshest(sparse.begin(), sparse.begin()), sparse.begin());
+}
+
 TEST(MessageTest, ResponseRoundTrip) {
   Response ok = Response::Ok({1, 2});
   auto back = Response::Deserialize(ok.Serialize());
@@ -156,6 +273,164 @@ TEST(ObjectStoreTest, CorruptionInjection) {
   EXPECT_TRUE(store.Replace(ObjectKey::Data(1, 0), Bytes{1, 2, 3}));
   EXPECT_EQ(store.Get(ObjectKey::Data(1, 0)),
             std::optional<Bytes>(Bytes{1, 2, 3}));
+}
+
+// --- Version gating ---------------------------------------------------
+
+const ObjectKey kGated = ObjectKey::Data(9, 0);
+
+Version VersionOf(const ObjectStore& store, const ObjectKey& key) {
+  auto v = store.GetVersioned(key);
+  return v.has_value() ? v->version : Version{};
+}
+
+TEST(ObjectStoreVersionTest, OlderStampedPutIsRejected) {
+  ObjectStore store;
+  EXPECT_TRUE(store.Put(kGated, {2}, {20, 1}));
+  EXPECT_FALSE(store.Put(kGated, {1}, {10, 1}));
+  EXPECT_FALSE(store.Put(kGated, {1}, {20, 0}));  // Same tick, lower writer.
+  EXPECT_EQ(store.Get(kGated), std::optional<Bytes>(Bytes{2}));
+  EXPECT_EQ(VersionOf(store, kGated), (Version{20, 1}));
+  EXPECT_TRUE(store.Put(kGated, {3}, {20, 2}));   // Same tick, higher writer.
+  EXPECT_EQ(store.Get(kGated), std::optional<Bytes>(Bytes{3}));
+  EXPECT_EQ(store.Stats().bytes(ObjectFamily::kData), 1u);
+}
+
+TEST(ObjectStoreVersionTest, EqualStampedPutIsANoOp) {
+  ObjectStore store;
+  ASSERT_TRUE(store.Put(kGated, {1}, {20, 1}));
+  const Bytes before = store.Serialize();
+  // The same mutation arriving again (retry, quorum round, repair)
+  // reports success and changes nothing — even with other bytes.
+  EXPECT_TRUE(store.Put(kGated, {1}, {20, 1}));
+  EXPECT_TRUE(store.Put(kGated, {9, 9}, {20, 1}));
+  EXPECT_EQ(store.Serialize(), before);
+}
+
+TEST(ObjectStoreVersionTest, StampedDeleteEntombs) {
+  ObjectStore store;
+  store.set_tombstones_enabled(true);
+  ASSERT_TRUE(store.Put(kGated, {1, 2}, {10, 1}));
+  EXPECT_FALSE(store.Delete(kGated, {9, 1}));  // Older: the value stays.
+  EXPECT_TRUE(store.Get(kGated).has_value());
+  EXPECT_TRUE(store.Delete(kGated, {11, 1}));
+  EXPECT_FALSE(store.Get(kGated).has_value());
+  auto v = store.GetVersioned(kGated);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_TRUE(v->tombstone);
+  EXPECT_EQ(v->version, (Version{11, 1}));
+  StorageStats stats = store.Stats();
+  EXPECT_EQ(stats.tombstone_count, 1u);
+  EXPECT_EQ(stats.object_count, 0u);
+  EXPECT_EQ(stats.total_bytes(), 0u);
+  // A put older than the tombstone cannot resurrect the key; a newer
+  // one re-creates it.
+  EXPECT_FALSE(store.Put(kGated, {1, 2}, {10, 5}));
+  EXPECT_FALSE(store.Get(kGated).has_value());
+  EXPECT_TRUE(store.Put(kGated, {3}, {12, 1}));
+  EXPECT_EQ(store.Get(kGated), std::optional<Bytes>(Bytes{3}));
+  EXPECT_EQ(store.Stats().tombstone_count, 0u);
+  // Deleting a key the replica never held still records the death.
+  EXPECT_TRUE(store.Delete(ObjectKey::Data(9, 7), {13, 1}));
+  EXPECT_EQ(VersionOf(store, ObjectKey::Data(9, 7)), (Version{13, 1}));
+}
+
+TEST(ObjectStoreVersionTest, StampedDeleteRangeSparesANewerEntry) {
+  ObjectStore store;
+  store.set_tombstones_enabled(true);
+  ASSERT_TRUE(store.Put(ObjectKey::Data(5, 0), {1}, {10, 1}));
+  ASSERT_TRUE(store.Put(ObjectKey::Data(5, 1), {2}, {30, 1}));
+  ASSERT_TRUE(store.Delete(ObjectKey::Data(5, 2), {15, 1}));
+  store.DeleteRange(ObjectFamily::kData, 5, {20, 1});
+  auto older = store.GetVersioned(ObjectKey::Data(5, 0));
+  ASSERT_TRUE(older.has_value());
+  EXPECT_TRUE(older->tombstone);
+  EXPECT_EQ(older->version, (Version{20, 1}));
+  // The re-create that outran the range delete survives it.
+  EXPECT_EQ(store.Get(ObjectKey::Data(5, 1)), std::optional<Bytes>(Bytes{2}));
+  EXPECT_EQ(VersionOf(store, ObjectKey::Data(5, 1)), (Version{30, 1}));
+  // An older tombstone moves up to the range delete's version.
+  EXPECT_EQ(VersionOf(store, ObjectKey::Data(5, 2)), (Version{20, 1}));
+  // A key this replica never held gets no tombstone.
+  EXPECT_FALSE(store.GetVersioned(ObjectKey::Data(5, 3)).has_value());
+  EXPECT_EQ(store.LiveCount(ObjectFamily::kData, 5), 1u);
+}
+
+TEST(ObjectStoreVersionTest, RemoveTombstoneOnlyAtTheExactVersion) {
+  ObjectStore store;
+  store.set_tombstones_enabled(true);
+  ASSERT_TRUE(store.Delete(kGated, {20, 1}));
+  EXPECT_FALSE(store.RemoveTombstone(kGated, {19, 1}));
+  EXPECT_FALSE(store.RemoveTombstone(kGated, {21, 1}));
+  EXPECT_FALSE(store.RemoveTombstone(kGated, {20, 2}));
+  EXPECT_EQ(store.Stats().tombstone_count, 1u);
+  EXPECT_TRUE(store.RemoveTombstone(kGated, {20, 1}));
+  EXPECT_FALSE(store.GetVersioned(kGated).has_value());
+  EXPECT_EQ(store.Stats().tombstone_count, 0u);
+  // A live entry is never purged, whatever its version.
+  ASSERT_TRUE(store.Put(kGated, {1}, {30, 1}));
+  EXPECT_FALSE(store.RemoveTombstone(kGated, {30, 1}));
+  EXPECT_TRUE(store.Get(kGated).has_value());
+}
+
+TEST(ObjectStoreVersionTest, UnstampedBumpReplaysWithoutChange) {
+  ObjectStore store;
+  store.set_tombstones_enabled(true);
+  store.Put(kGated, {1});
+  EXPECT_EQ(VersionOf(store, kGated), (Version{1, 0}));
+  store.Put(kGated, {2});
+  EXPECT_EQ(VersionOf(store, kGated), (Version{2, 0}));
+  // Replaying an applied put or delete leaves the store byte-identical.
+  Bytes before = store.Serialize();
+  store.Put(kGated, {2});
+  EXPECT_EQ(store.Serialize(), before);
+  store.Delete(kGated);
+  EXPECT_EQ(VersionOf(store, kGated), (Version{3, 0}));
+  before = store.Serialize();
+  store.Delete(kGated);
+  store.DeleteRange(ObjectFamily::kData, 9);
+  EXPECT_EQ(store.Serialize(), before);
+  // A stamped write outranks any local bump.
+  EXPECT_TRUE(store.Put(kGated, {4}, {1000, 7}));
+  EXPECT_EQ(store.Get(kGated), std::optional<Bytes>(Bytes{4}));
+}
+
+TEST(SspServerTest, PlacementArmedServerRejectsUnstampedMutations) {
+  const std::string dir = ::testing::TempDir() + "sharoes_unstamped_" +
+                          std::to_string(::getpid());
+  ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+  ClusterConfig config;
+  config.replication = 1;
+  config.write_quorum = 1;
+  config.read_quorum = 1;
+  config.nodes.push_back({0, "127.0.0.1", 1});
+  auto ring = PlacementRing::Build(config);
+  ASSERT_TRUE(ring.ok()) << ring.status();
+  SspServer server;
+  auto wal = Wal::Open(dir, WalOptions{}, &server.store());
+  ASSERT_TRUE(wal.ok()) << wal.status();
+  server.set_wal(wal->get());
+  server.set_placement(&*ring, 0);
+
+  EXPECT_EQ(server.Handle(Request::Put(kGated, {1})).status,
+            RespStatus::kBadRequest);
+  EXPECT_EQ(server.Handle(Request::Delete(kGated)).status,
+            RespStatus::kBadRequest);
+  Response batch = server.Handle(
+      Request::Batch({Request::Put(kGated, {1}), Request::Get(kGated)}));
+  ASSERT_EQ(batch.batch.size(), 2u);
+  EXPECT_EQ(batch.batch[0].status, RespStatus::kBadRequest);
+  EXPECT_EQ(batch.batch[1].status, RespStatus::kNotFound);
+  EXPECT_EQ(server.store().Serialize(), ObjectStore().Serialize());
+  EXPECT_EQ((*wal)->last_sequence(), 0u) << "an unstamped op reached the WAL";
+
+  // The same put, stamped, is served and logged.
+  Request stamped = Request::Put(kGated, {1});
+  stamped.version = {5, 1};
+  EXPECT_EQ(server.Handle(stamped).status, RespStatus::kOk);
+  EXPECT_EQ(server.store().Get(kGated), std::optional<Bytes>(Bytes{1}));
+  EXPECT_EQ((*wal)->last_sequence(), 1u);
+  server.set_wal(nullptr);
 }
 
 TEST(SspServerTest, GetPutDeleteThroughWire) {
@@ -287,10 +562,29 @@ TEST(ObjectStorePersistenceTest, SnapshotRoundTrip) {
   EXPECT_EQ(back->Stats().object_count, store.Stats().object_count);
 }
 
+TEST(ObjectStorePersistenceTest, SnapshotKeepsVersionsAndTombstones) {
+  ObjectStore store;
+  store.set_tombstones_enabled(true);
+  store.Put(ObjectKey::Data(1, 0), {1}, {0xABCDEF0123ull, 0x77ull});
+  store.Delete(ObjectKey::Data(1, 1), {40, 3});
+  store.Put(ObjectKey::Metadata(2, 0), {2});  // Local bump {1, 0}.
+  auto back = ObjectStore::Deserialize(store.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(VersionOf(*back, ObjectKey::Data(1, 0)),
+            (Version{0xABCDEF0123ull, 0x77ull}));
+  auto dead = back->GetVersioned(ObjectKey::Data(1, 1));
+  ASSERT_TRUE(dead.has_value());
+  EXPECT_TRUE(dead->tombstone);
+  EXPECT_EQ(dead->version, (Version{40, 3}));
+  EXPECT_EQ(VersionOf(*back, ObjectKey::Metadata(2, 0)), (Version{1, 0}));
+  EXPECT_EQ(back->Serialize(), store.Serialize());
+}
+
 TEST(ObjectStorePersistenceTest, RefusesEarlierSnapshotVersions) {
-  // The per-family-section images ("SSP1", "SSP2") are not loaded: the
-  // one snapshot format is the key-sorted single map.
-  for (uint32_t magic : {0x53535031u, 0x53535032u}) {
+  // The per-family-section images ("SSP1", "SSP2") and the image with a
+  // replica-local generation per entry ("SSP3") are not loaded: the one
+  // snapshot format is the key-sorted single map of versioned entries.
+  for (uint32_t magic : {0x53535031u, 0x53535032u, 0x53535033u}) {
     BinaryWriter w;
     w.PutU32(magic);
     w.PutU32(0);  // An empty superblock section, as those images began.

@@ -290,7 +290,7 @@ TEST(WalRecovery, SnapshotRecoveryKeepsTombstoneMode) {
   auto v = daemon.server()->store().GetVersioned(ObjectKey::Data(3, 0));
   ASSERT_TRUE(v.has_value());
   EXPECT_TRUE(v->tombstone);
-  EXPECT_EQ(v->gen, 2u);
+  EXPECT_EQ(v->version, (Version{2, 0}));
 }
 
 TEST(WalRecovery, CompactionUnderLoadSurvivesHardKills) {

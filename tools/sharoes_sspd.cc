@@ -13,8 +13,10 @@
 // this daemon's node id in it. The daemon then refuses ops whose
 // routing key the ring does not place on node N with kWrongShard —
 // before touching the WAL — so a client with a stale ring can never
-// scribble on the wrong shard. Without an explicit positional port, the
-// port of node N's config entry is used, so a fleet can be started as
+// scribble on the wrong shard — and refuses unstamped mutations (no
+// writer version) with kBadRequest. Without an explicit positional
+// port, the port of node N's config entry is used, so a fleet can be
+// started as
 // `sharoes_sspd --cluster c.conf --node-id 0` / `... --node-id 1` / ….
 // Cluster mode also enables delete tombstones (DESIGN.md §16): deletes
 // leave versioned tombstones instead of erasing, so a replica that
@@ -183,9 +185,9 @@ int main(int argc, char** argv) {
   sharoes::ssp::SspServer server;
   if (ring != nullptr) {
     server.set_placement(ring.get(), static_cast<uint32_t>(node_id));
-    // Tombstones must be on BEFORE WAL recovery: the log may hold
-    // gen-gated repair deletes whose replay must leave tombstones, not
-    // erase, or a restart silently re-opens the resurrection window.
+    // Tombstones must be on BEFORE WAL recovery: the log holds
+    // versioned deletes whose replay must leave tombstones, not erase,
+    // or a restart silently re-opens the resurrection window.
     server.store().set_tombstones_enabled(true);
     std::printf("sharoes_sspd: shard node %d of a %zu-node cluster (%s)\n",
                 node_id, ring->config().nodes.size(), cluster_path.c_str());
