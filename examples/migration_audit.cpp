@@ -43,7 +43,6 @@ int main() {
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.rng_seed = 99;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_pool = 32;  // Bulk migration: pool signing keys.
   crypto::CryptoEngine engine(&clock, eng_opts);
   ssp::SspServer ssp_server;
   net::Transport wan(&clock, net::NetworkModel::Zero());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "crypto/montgomery.h"
+
 namespace sharoes::crypto {
 
 namespace {
@@ -326,116 +328,42 @@ BigInt BigInt::ModMul(const BigInt& a, const BigInt& b, const BigInt& m) {
   return Mod(Mul(a, b), m);
 }
 
-namespace {
-
-// Montgomery context for an odd modulus.
-struct MontgomeryCtx {
-  const BigInt& m;
-  size_t n;          // Limb count of m.
-  uint32_t m_prime;  // -m^{-1} mod 2^32.
-  BigInt r2;         // R^2 mod m, R = 2^(32n).
-
-  explicit MontgomeryCtx(const BigInt& modulus) : m(modulus) {
-    n = m.limbs().size();
-    // m_prime = -m^{-1} mod 2^32 via Newton iteration on 2-adic inverse.
-    uint32_t m0 = m.limbs()[0];
-    uint32_t inv = 1;
-    for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;  // inv = m0^{-1} mod 2^32
-    m_prime = ~inv + 1;  // -inv
-    // R^2 mod m.
-    BigInt r = BigInt::ShiftLeft(BigInt(1), 32 * n);
-    r2 = BigInt::Mod(BigInt::Mul(BigInt::Mod(r, m), BigInt::Mod(r, m)), m);
-  }
-
-  // CIOS Montgomery multiplication: returns a*b*R^{-1} mod m.
-  BigInt Mul(const BigInt& a, const BigInt& b) const {
-    std::vector<uint32_t> t(n + 2, 0);
-    const auto& al = a.limbs();
-    const auto& bl = b.limbs();
-    const auto& ml = m.limbs();
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t ai = i < al.size() ? al[i] : 0;
-      // t += ai * b
-      uint64_t carry = 0;
-      for (size_t j = 0; j < n; ++j) {
-        uint64_t bj = j < bl.size() ? bl[j] : 0;
-        uint64_t cur = t[j] + ai * bj + carry;
-        t[j] = static_cast<uint32_t>(cur);
-        carry = cur >> 32;
-      }
-      uint64_t cur = static_cast<uint64_t>(t[n]) + carry;
-      t[n] = static_cast<uint32_t>(cur);
-      t[n + 1] = static_cast<uint32_t>(cur >> 32);
-      // u = t[0] * m' mod 2^32 ; t += u * m ; t >>= 32
-      uint32_t u = t[0] * m_prime;
-      carry = 0;
-      uint64_t first = static_cast<uint64_t>(t[0]) +
-                       static_cast<uint64_t>(u) * ml[0];
-      carry = first >> 32;
-      for (size_t j = 1; j < n; ++j) {
-        uint64_t c2 = t[j] + static_cast<uint64_t>(u) * ml[j] + carry;
-        t[j - 1] = static_cast<uint32_t>(c2);
-        carry = c2 >> 32;
-      }
-      cur = static_cast<uint64_t>(t[n]) + carry;
-      t[n - 1] = static_cast<uint32_t>(cur);
-      t[n] = t[n + 1] + static_cast<uint32_t>(cur >> 32);
-      t[n + 1] = 0;
-    }
-    t.resize(n + 1);
-    BigInt result;
-    {
-      std::vector<uint32_t> copy = t;
-      while (!copy.empty() && copy.back() == 0) copy.pop_back();
-      // Reconstruct via public API to keep normalization in one place.
-      result = BigInt::FromBytes([&copy] {
-        Bytes be;
-        for (size_t i = copy.size(); i-- > 0;) {
-          be.push_back(static_cast<uint8_t>(copy[i] >> 24));
-          be.push_back(static_cast<uint8_t>(copy[i] >> 16));
-          be.push_back(static_cast<uint8_t>(copy[i] >> 8));
-          be.push_back(static_cast<uint8_t>(copy[i]));
-        }
-        return be;
-      }());
-    }
-    if (result.Compare(m) >= 0) result = BigInt::Sub(result, m);
-    return result;
-  }
-
-  BigInt ToMont(const BigInt& x) const { return Mul(x, r2); }
-  BigInt FromMont(const BigInt& x) const { return Mul(x, BigInt(1)); }
-};
-
-}  // namespace
-
 BigInt BigInt::ModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
   assert(!m.IsZero() && !m.IsOne());
-  BigInt b = Mod(base, m);
   if (exp.IsZero()) return BigInt(1);
-  if (b.IsZero()) return BigInt();
+  size_t bits = exp.BitLength();
+  if (m.IsOdd() && bits > 64) return ModExp(base, exp, m, bits);
 
+  BigInt b = Mod(base, m);
   if (m.IsOdd()) {
-    MontgomeryCtx ctx(m);
-    BigInt result = ctx.ToMont(BigInt(1));
-    BigInt acc = ctx.ToMont(b);
-    size_t bits = exp.BitLength();
-    for (size_t i = 0; i < bits; ++i) {
-      if (exp.GetBit(i)) result = ctx.Mul(result, acc);
-      if (i + 1 < bits) acc = ctx.Mul(acc, acc);
+    Montgomery mont(m);
+    std::vector<Limb> x(mont.limbs()), acc(mont.limbs());
+    mont.ToMont(x.data(), b);
+    std::copy(x.begin(), x.end(), acc.begin());
+    for (size_t i = bits - 1; i-- > 0;) {
+      mont.Mul(acc.data(), acc.data(), acc.data());
+      if (exp.GetBit(i)) mont.Mul(acc.data(), acc.data(), x.data());
     }
-    return ctx.FromMont(result);
+    return mont.FromMont(acc.data());
   }
 
   // Even modulus: plain square-and-multiply (not on RSA hot paths).
   BigInt result(1);
   BigInt acc = b;
-  size_t bits = exp.BitLength();
   for (size_t i = 0; i < bits; ++i) {
     if (exp.GetBit(i)) result = ModMul(result, acc, m);
     if (i + 1 < bits) acc = ModMul(acc, acc, m);
   }
   return result;
+}
+
+BigInt BigInt::ModExp(const BigInt& base, const BigInt& exp, const BigInt& m,
+                      size_t exp_bits) {
+  Montgomery mont(m);
+  std::vector<Limb> x(mont.limbs());
+  mont.ToMont(x.data(), Mod(base, m));
+  FixedWindowExp(mont, x.data(), x.data(), exp, exp_bits);
+  return mont.FromMont(x.data());
 }
 
 BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {

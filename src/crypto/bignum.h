@@ -3,9 +3,15 @@
 // Limbs are base-2^32, little-endian, normalized (no leading zero limb).
 // The API covers exactly what RSA key generation and the RSA primitives
 // need: comparison, +, -, *, divmod (Knuth algorithm D), shifts, bit
-// access, modular exponentiation (right-to-left square-and-multiply over
-// Montgomery multiplication for odd moduli, branching on each exponent
-// bit, so neither constant-time nor a ladder), gcd and modular inverse.
+// access, modular exponentiation, gcd and modular inverse.
+//
+// Modular exponentiation with an odd modulus runs on fixed-width 64-bit
+// limbs (crypto/montgomery.h): CIOS Montgomery multiplication with a
+// masked final subtraction, then either fixed-window exponentiation whose
+// schedule depends only on the modulus size and a declared exponent
+// width (secret exponents), or plain square-and-multiply for exponents of
+// at most 64 bits (public exponents such as e = 65537). Everything else
+// here is variable-time.
 
 #ifndef SHAROES_CRYPTO_BIGNUM_H_
 #define SHAROES_CRYPTO_BIGNUM_H_
@@ -19,6 +25,8 @@
 #include "util/random.h"
 
 namespace sharoes::crypto {
+
+class Montgomery;
 
 /// Non-negative arbitrary-precision integer.
 class BigInt {
@@ -73,11 +81,19 @@ class BigInt {
 
   /// (a * b) mod m via full multiply + reduce.
   static BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m);
-  /// base^exp mod m by right-to-left square-and-multiply: one multiply
-  /// per set exponent bit (a data-dependent branch) and one squaring per
-  /// bit. Montgomery multiplication when m is odd, ModMul otherwise.
-  /// m must be > 1.
+  /// base^exp mod m, m > 1. For odd m: an exponent of at most 64 bits
+  /// takes left-to-right square-and-multiply in the Montgomery domain
+  /// (branches on each exponent bit: for public exponents only); a
+  /// longer one takes the fixed-window path of the overload below with
+  /// exp_bits = exp.BitLength(). Even m: square-and-multiply over ModMul.
   static BigInt ModExp(const BigInt& base, const BigInt& exp, const BigInt& m);
+  /// base^exp mod m for a secret exponent, m odd and > 1, exp < 2^exp_bits.
+  /// Fixed-window exponentiation over Montgomery multiplication: the
+  /// number and order of multiplies and the table scans depend only on
+  /// m's limb count and exp_bits, not on exp or base (RSA CRT passes the
+  /// bit length of p or q). Reducing `base` mod m first is variable-time.
+  static BigInt ModExp(const BigInt& base, const BigInt& exp, const BigInt& m,
+                       size_t exp_bits);
   static BigInt Gcd(const BigInt& a, const BigInt& b);
   /// Inverse of a mod m (gcd(a, m) must be 1). Returns false otherwise.
   static bool ModInverse(const BigInt& a, const BigInt& m, BigInt* out);
@@ -90,6 +106,8 @@ class BigInt {
   const std::vector<uint32_t>& limbs() const { return limbs_; }
 
  private:
+  friend class Montgomery;  // Builds results straight from its limbs.
+
   void Normalize();
   static BigInt FromLimbs(std::vector<uint32_t> limbs);
 

@@ -97,10 +97,11 @@ struct CryptoEngineOptions {
   /// default to keep real key generation cheap; the *virtual* cost charged
   /// is sign_keygen_ms regardless.
   size_t signing_key_bits = 512;
-  /// If > 0, signing key pairs are served from a pool of this many
-  /// distinct pre-generated pairs, cycling after exhaustion. This keeps
-  /// wall-clock time of large benchmarks low; virtual keygen cost is
-  /// still charged per request. Use 0 (always-fresh) for security tests.
+  /// Deprecated; leave at 0 (a fresh signing pair per request). If > 0,
+  /// signing key pairs are served from a pool of this many pre-generated
+  /// pairs, cycling after exhaustion, so a writer of one file holds the
+  /// signing key of others. It only ever worked around slow keygen;
+  /// virtual keygen cost is charged per request either way.
   size_t signing_key_pool = 0;
   uint64_t rng_seed = 0;  // 0 = nondeterministic.
 };

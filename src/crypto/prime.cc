@@ -1,7 +1,10 @@
 #include "crypto/prime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
+
+#include "crypto/montgomery.h"
 
 namespace sharoes::crypto {
 
@@ -33,14 +36,11 @@ uint32_t ModSmall(const BigInt& n, uint32_t d) {
   return static_cast<uint32_t>(rem);
 }
 
-}  // namespace
-
-bool IsProbablePrime(const BigInt& n, Rng& rng, int rounds) {
-  if (n.Compare(BigInt(2)) < 0) return false;
-  for (uint32_t p : SmallPrimes()) {
-    if (n.Compare(BigInt(p)) == 0) return true;
-    if (ModSmall(n, p) == 0) return false;
-  }
+// Miller-Rabin on an odd n above every small prime, in the Montgomery
+// domain of one context built once per candidate: each round's
+// exponentiation and squaring chain compare Montgomery forms against
+// those of 1 and n - 1 and never leave the domain.
+bool MillerRabin(const BigInt& n, Rng& rng, int rounds) {
   // Write n-1 = d * 2^r with d odd.
   BigInt n_minus_1 = BigInt::Sub(n, BigInt(1));
   BigInt d = n_minus_1;
@@ -50,15 +50,23 @@ bool IsProbablePrime(const BigInt& n, Rng& rng, int rounds) {
     ++r;
   }
   BigInt n_minus_3 = BigInt::Sub(n, BigInt(3));
+  Montgomery mont(n);
+  const size_t limbs = mont.limbs();
+  std::vector<Limb> minus_one(limbs), x(limbs);
+  mont.ToMont(minus_one.data(), n_minus_1);
+  auto is = [&](const Limb* v) {
+    return std::equal(x.begin(), x.end(), v);
+  };
   for (int round = 0; round < rounds; ++round) {
     // a uniform in [2, n-2].
     BigInt a = BigInt::Add(BigInt::RandomBelow(n_minus_3, rng), BigInt(2));
-    BigInt x = BigInt::ModExp(a, d, n);
-    if (x.IsOne() || x.Compare(n_minus_1) == 0) continue;
+    mont.ToMont(x.data(), a);
+    FixedWindowExp(mont, x.data(), x.data(), d, d.BitLength());
+    if (is(mont.one()) || is(minus_one.data())) continue;
     bool witness = true;
     for (size_t i = 1; i < r; ++i) {
-      x = BigInt::ModMul(x, x, n);
-      if (x.Compare(n_minus_1) == 0) {
+      mont.Mul(x.data(), x.data(), x.data());
+      if (is(minus_one.data())) {
         witness = false;
         break;
       }
@@ -68,27 +76,41 @@ bool IsProbablePrime(const BigInt& n, Rng& rng, int rounds) {
   return true;
 }
 
+}  // namespace
+
+bool IsProbablePrime(const BigInt& n, Rng& rng, int rounds) {
+  if (n.Compare(BigInt(2)) < 0) return false;
+  for (uint32_t p : SmallPrimes()) {
+    if (n.Compare(BigInt(p)) == 0) return true;
+    if (ModSmall(n, p) == 0) return false;
+  }
+  return MillerRabin(n, rng, rounds);
+}
+
 BigInt GeneratePrime(size_t bits, Rng& rng) {
-  assert(bits >= 16);
+  assert(bits >= 16);  // Every candidate is then above every small prime.
+  const std::vector<uint32_t>& primes = SmallPrimes();
+  std::vector<uint32_t> residues(primes.size());
   for (;;) {
-    BigInt candidate = BigInt::RandomWithBits(bits, rng);
-    if (!candidate.IsOdd()) candidate = BigInt::Add(candidate, BigInt(1));
+    BigInt start = BigInt::RandomWithBits(bits, rng);
+    if (!start.IsOdd()) start = BigInt::Add(start, BigInt(1));
     // Scan forward in steps of 2 from the random start; bounded so the
-    // distribution stays near-uniform.
-    for (int step = 0; step < 256; ++step) {
-      bool divisible = false;
-      for (uint32_t p : SmallPrimes()) {
-        if (ModSmall(candidate, p) == 0 &&
-            candidate.Compare(BigInt(p)) != 0) {
-          divisible = true;
-          break;
+    // distribution stays near-uniform. `residues` holds the candidate mod
+    // each small prime, stepped by 2 instead of recomputed.
+    for (size_t i = 0; i < primes.size(); ++i) {
+      residues[i] = ModSmall(start, primes[i]);
+    }
+    for (uint32_t step = 0; step < 256; ++step) {
+      if (std::find(residues.begin(), residues.end(), 0u) == residues.end()) {
+        BigInt candidate = BigInt::Add(start, BigInt(2 * step));
+        if (candidate.BitLength() == bits && MillerRabin(candidate, rng, 24)) {
+          return candidate;
         }
       }
-      if (!divisible && candidate.BitLength() == bits &&
-          IsProbablePrime(candidate, rng)) {
-        return candidate;
+      for (size_t i = 0; i < primes.size(); ++i) {
+        residues[i] += 2;
+        if (residues[i] >= primes[i]) residues[i] -= primes[i];
       }
-      candidate = BigInt::Add(candidate, BigInt(2));
     }
   }
 }

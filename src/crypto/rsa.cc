@@ -1,5 +1,8 @@
 #include "crypto/rsa.h"
 
+#include <vector>
+
+#include "crypto/montgomery.h"
 #include "crypto/prime.h"
 #include "crypto/sha256.h"
 #include "util/binary_io.h"
@@ -13,20 +16,24 @@ constexpr uint8_t kSha256DigestInfoPrefix[] = {
     0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01,
     0x65, 0x03, 0x04, 0x02, 0x01, 0x05, 0x00, 0x04, 0x20};
 
-// RSA private operation with CRT: m = c^d mod n.
+// RSA private operation with CRT: m = c^d mod n. Both exponentiations run
+// the fixed-window schedule at the full width of p and q, and the
+// recombination h = qinv * (m1 - m2) mod p is branch-free: a fixed-width
+// subtraction with p added back under the borrow mask, then two
+// Montgomery multiplies (qinv * diff * R^-1, then times R^2 * R^-1).
 BigInt PrivateOp(const RsaPrivateKey& k, const BigInt& c) {
-  BigInt m1 = BigInt::ModExp(BigInt::Mod(c, k.p), k.dp, k.p);
-  BigInt m2 = BigInt::ModExp(BigInt::Mod(c, k.q), k.dq, k.q);
-  // h = qinv * (m1 - m2) mod p
-  BigInt diff;
-  if (m1.Compare(m2) >= 0) {
-    diff = BigInt::Sub(m1, m2);
-  } else {
-    diff = BigInt::Sub(BigInt::Add(m1, k.p), BigInt::Mod(m2, k.p));
-    diff = BigInt::Mod(diff, k.p);
-  }
-  BigInt h = BigInt::ModMul(k.qinv, diff, k.p);
-  return BigInt::Add(m2, BigInt::Mul(h, k.q));
+  BigInt m1 = BigInt::ModExp(c, k.dp, k.p, k.p.BitLength());
+  BigInt m2 = BigInt::ModExp(c, k.dq, k.q, k.q.BitLength());
+  Montgomery mont(k.p);
+  const size_t limbs = mont.limbs();
+  std::vector<Limb> a(limbs), b(limbs);
+  mont.Load(a.data(), m1);
+  mont.Load(b.data(), BigInt::Mod(m2, k.p));
+  mont.SubMod(a.data(), a.data(), b.data());
+  mont.Load(b.data(), k.qinv);
+  mont.Mul(a.data(), a.data(), b.data());
+  mont.Mul(a.data(), a.data(), mont.rr());
+  return BigInt::Add(m2, BigInt::Mul(mont.Store(a.data()), k.q));
 }
 
 BigInt PublicOp(const RsaPublicKey& k, const BigInt& m) {
@@ -77,15 +84,21 @@ Result<RsaPrivateKey> RsaPrivateKey::Deserialize(const Bytes& data) {
   if (k.e.IsZero() || k.p.IsZero() || k.q.IsZero()) {
     return Status::Corruption("rsa private key with zero component");
   }
-  k.n = BigInt::Mul(k.p, k.q);
-  BigInt p1 = BigInt::Sub(k.p, BigInt(1));
-  BigInt q1 = BigInt::Sub(k.q, BigInt(1));
-  if (!BigInt::ModInverse(k.e, BigInt::Mul(p1, q1), &k.d)) {
-    return Status::Corruption("rsa private key: e not invertible");
+  if (!k.p.IsOdd() || !k.q.IsOdd() || k.p.IsOne() || k.q.IsOne()) {
+    return Status::Corruption("rsa private key: prime even or one");
   }
-  k.dp = BigInt::Mod(k.d, p1);
-  k.dq = BigInt::Mod(k.d, q1);
-  if (!BigInt::ModInverse(k.q, k.p, &k.qinv)) {
+  k.n = BigInt::Mul(k.p, k.q);
+  if (!BigInt::ModInverse(k.e, BigInt::Sub(k.p, BigInt(1)), &k.dp)) {
+    return Status::Corruption("rsa private key: e not invertible mod p-1");
+  }
+  if (!BigInt::ModInverse(k.e, BigInt::Sub(k.q, BigInt(1)), &k.dq)) {
+    return Status::Corruption("rsa private key: e not invertible mod q-1");
+  }
+  // qinv = q^(p-2) mod p by Fermat: one exponentiation instead of an
+  // extended Euclid over p. Checked, so a composite p is refused.
+  k.qinv = BigInt::ModExp(k.q, BigInt::Sub(k.p, BigInt(2)), k.p,
+                          k.p.BitLength());
+  if (!BigInt::ModMul(k.qinv, k.q, k.p).IsOne()) {
     return Status::Corruption("rsa private key: q not invertible mod p");
   }
   return k;
@@ -100,20 +113,18 @@ RsaKeyPair GenerateRsaKeyPair(size_t bits, Rng& rng) {
     if (p < q) std::swap(p, q);  // Keep p > q for the CRT recombination.
     BigInt n = BigInt::Mul(p, q);
     if (n.BitLength() != bits) continue;
-    BigInt p1 = BigInt::Sub(p, BigInt(1));
-    BigInt q1 = BigInt::Sub(q, BigInt(1));
-    BigInt phi = BigInt::Mul(p1, q1);
-    BigInt d;
-    if (!BigInt::ModInverse(e, phi, &d)) continue;  // gcd(e, phi) != 1.
+    // e is invertible mod (p-1)(q-1) iff it is mod each factor, and
+    // d mod (p-1) is then e^-1 mod (p-1): CRT exponents without d.
     RsaPrivateKey priv;
+    if (!BigInt::ModInverse(e, BigInt::Sub(p, BigInt(1)), &priv.dp) ||
+        !BigInt::ModInverse(e, BigInt::Sub(q, BigInt(1)), &priv.dq) ||
+        !BigInt::ModInverse(q, p, &priv.qinv)) {
+      continue;
+    }
     priv.n = n;
     priv.e = e;
-    priv.d = d;
     priv.p = p;
     priv.q = q;
-    priv.dp = BigInt::Mod(d, p1);
-    priv.dq = BigInt::Mod(d, q1);
-    if (!BigInt::ModInverse(q, p, &priv.qinv)) continue;
     return RsaKeyPair{priv.PublicKey(), priv};
   }
 }

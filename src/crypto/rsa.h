@@ -8,7 +8,9 @@
 //     model charges ESIGN-calibrated prices, see crypto/keys.h).
 //
 // Padding is PKCS#1 v1.5 style (type 2 for encryption, type 1 with a
-// SHA-256 DigestInfo for signatures). Private-key operations use the CRT.
+// SHA-256 DigestInfo for signatures). Private-key operations use the CRT
+// with constant-schedule exponentiation (crypto/montgomery.h); public-key
+// operations (e = 65537) use short variable-time square-and-multiply.
 
 #ifndef SHAROES_CRYPTO_RSA_H_
 #define SHAROES_CRYPTO_RSA_H_
@@ -39,8 +41,9 @@ struct RsaPublicKey {
 };
 
 struct RsaPrivateKey {
-  BigInt n, e, d;
-  // CRT components.
+  BigInt n, e;
+  // CRT components: dp = e^-1 mod (p-1), dq = e^-1 mod (q-1),
+  // qinv = q^-1 mod p. The private exponent d itself is never formed.
   BigInt p, q, dp, dq, qinv;
 
   RsaPublicKey PublicKey() const { return RsaPublicKey{n, e}; }

@@ -51,9 +51,9 @@ struct BenchWorldOptions {
   /// User identity key size. 2048 (the paper's NIST parameter set) keeps
   /// the PUBLIC baseline's RSA block counts faithful.
   size_t user_key_bits = 2048;
-  /// Signing keys are served from a pool to keep wall-clock time low
-  /// (virtual keygen cost is charged per request regardless).
-  size_t signing_key_pool = 128;
+  /// Deprecated: passed to CryptoEngineOptions::signing_key_pool. 0 (the
+  /// default) generates fresh signing keys for every file.
+  size_t signing_key_pool = 0;
   /// The paper's testbed is a single-user client; the PUBLIC/PUB-OPT
   /// per-user replication cost scales with this.
   size_t registered_users = 1;

@@ -38,9 +38,7 @@ TEST_P(FileModeSweep, ReadWriteMatchesMonitor) {
   if (!core::ModeSupported(fs::FileType::kFile, mode)) {
     GTEST_SKIP() << "unsupported mode " << mode.ToString();
   }
-  World::Options wopts;
-  wopts.signing_key_pool = 8;  // Access-control sweeps don't test forgery.
-  World world(wopts);
+  World world;
   LocalNode root =
       LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxrwxrwx"));
   root.children.push_back(LocalNode::File("f", kAlice, kEng, mode,
@@ -93,9 +91,7 @@ TEST_P(DirModeSweep, ListTraverseCreateMatchMonitor) {
   if (!core::ModeSupported(fs::FileType::kDirectory, mode)) {
     GTEST_SKIP() << "unsupported mode " << mode.ToString();
   }
-  World::Options wopts;
-  wopts.signing_key_pool = 8;
-  World world(wopts);
+  World world;
   LocalNode root =
       LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxrwxrwx"));
   LocalNode dir = LocalNode::Dir("d", kAlice, kEng, mode);
@@ -206,9 +202,7 @@ TEST_P(TreePropertyTest, StatAndReadMatchMonitorEverywhere) {
   params.seed = c.seed;
   core::LocalNode root = workload::GenerateTree(params);
 
-  World::Options wopts;
-  wopts.signing_key_pool = 8;
-  World world(wopts);
+  World world;
   ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
 
   std::vector<std::vector<std::string>> paths;

@@ -155,9 +155,7 @@ TEST(ClientEdgeTest, GetattrSizeReflectsWrites) {
 }
 
 TEST(ClientEdgeTest, ManyFilesInOneDirectory) {
-  World::Options opts;
-  opts.signing_key_pool = 8;
-  World world(opts);
+  World world;
   ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
   auto& alice = world.client(kAlice);
   for (int i = 0; i < 60; ++i) {

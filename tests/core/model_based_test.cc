@@ -88,9 +88,7 @@ TEST_P(ModelBasedTest, RandomOpsAgreeWithReferenceModel) {
   const ModelCase& c = GetParam();
   Rng rng(c.seed);
 
-  World::Options wopts;
-  wopts.signing_key_pool = 8;
-  World world(wopts);
+  World world;
   core::LocalNode root =
       core::LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxrwxr-x"));
   ASSERT_TRUE(world.MigrateAndMountAll(root).ok());

@@ -148,7 +148,8 @@ TEST_F(RsaTest, PrivateKeySerializationRoundTrip) {
   Bytes ser = key_->priv.Serialize();
   auto back = RsaPrivateKey::Deserialize(ser);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->d, key_->priv.d);
+  EXPECT_EQ(back->dp, key_->priv.dp);
+  EXPECT_EQ(back->dq, key_->priv.dq);
   EXPECT_EQ(back->qinv, key_->priv.qinv);
   // The deserialized key must actually work.
   Bytes msg = ToBytes("round trip");
@@ -162,6 +163,37 @@ TEST_F(RsaTest, PrivateKeySerializationRoundTrip) {
 TEST_F(RsaTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(RsaPublicKey::Deserialize(ToBytes("junk")).ok());
   EXPECT_FALSE(RsaPrivateKey::Deserialize(ToBytes("junk")).ok());
+}
+
+TEST(RsaDecodeTest, RefusesInconsistentPrivateKeys) {
+  // The compact form is (e, p, q); decode derives dp, dq and qinv and
+  // must refuse, not crash on, every combination that has none.
+  auto decode = [](uint64_t e, uint64_t p, uint64_t q) {
+    RsaPrivateKey k;
+    k.e = BigInt(e);
+    k.p = BigInt(p);
+    k.q = BigInt(q);
+    return RsaPrivateKey::Deserialize(k.Serialize()).status();
+  };
+  struct Case {
+    uint64_t e, p, q;
+    const char* message;
+  };
+  const Case cases[] = {
+      {3, 7, 11, "e not invertible mod p-1"},    // 3 | 6
+      {3, 11, 7, "e not invertible mod q-1"},    // 3 | 6
+      {3, 5, 15, "q not invertible mod p"},      // 5 | 15
+      {5, 15, 7, "q not invertible mod p"},      // p composite
+      {3, 4, 7, "prime even or one"},
+      {3, 11, 1, "prime even or one"},
+  };
+  for (const Case& c : cases) {
+    Status s = decode(c.e, c.p, c.q);
+    EXPECT_TRUE(s.IsCorruption()) << c.p << " " << c.q;
+    EXPECT_NE(s.message().find(c.message), std::string::npos)
+        << c.p << " " << c.q << ": " << s.message();
+  }
+  EXPECT_TRUE(decode(3, 11, 5).ok());
 }
 
 TEST_F(RsaTest, FingerprintStableAndDistinct) {

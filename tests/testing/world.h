@@ -32,7 +32,6 @@ class World {
     size_t cache_bytes = 64ull << 20;
     size_t user_key_bits = 512;   // Small keys: fast tests, same logic.
     size_t signing_key_bits = 512;
-    size_t signing_key_pool = 0;  // Fresh signing keys by default.
     uint64_t seed = 0x5EED;
     // Batched-read knobs, passed straight into ClientOptions so tests can
     // pit the batched and per-block wire behaviours against each other.
@@ -50,7 +49,6 @@ class World {
     crypto::CryptoEngineOptions eng_opts;
     eng_opts.cost_model = crypto::CryptoCostModel::Zero();
     eng_opts.signing_key_bits = opts.signing_key_bits;
-    eng_opts.signing_key_pool = opts.signing_key_pool;
     eng_opts.rng_seed = opts.seed;
     admin_engine_ = std::make_unique<crypto::CryptoEngine>(&clock_, eng_opts);
 
@@ -91,7 +89,6 @@ class World {
     crypto::CryptoEngineOptions eng_opts;
     eng_opts.cost_model = crypto::CryptoCostModel::Zero();
     eng_opts.signing_key_bits = opts_.signing_key_bits;
-    eng_opts.signing_key_pool = opts_.signing_key_pool;
     eng_opts.rng_seed = opts_.seed + uid;
     engines_[uid] =
         std::make_unique<crypto::CryptoEngine>(&clock_, eng_opts);

@@ -24,7 +24,6 @@ class Figure8Test : public ::testing::Test {
     BenchWorldOptions opts;
     opts.variant = SystemVariant::kSharoes;
     opts.user_key_bits = 512;
-    opts.signing_key_pool = 8;
     world_ = std::make_unique<BenchWorld>(opts);
     fs_ = &world_->client();
     // Warm the path prefix and the parent's master table.

@@ -20,7 +20,6 @@ BenchWorldOptions SmallWorld(SystemVariant v) {
   BenchWorldOptions o;
   o.variant = v;
   o.user_key_bits = 512;
-  o.signing_key_pool = 8;
   return o;
 }
 
