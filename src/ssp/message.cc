@@ -1,5 +1,7 @@
 #include "ssp/message.h"
 
+#include <iterator>
+
 namespace sharoes::ssp {
 
 namespace {
@@ -20,14 +22,17 @@ constexpr uint8_t kTraceEntryLen = 9;
 // A Version on the wire: ts (8) + writer (8).
 constexpr size_t kVersionWire = 16;
 
-// Appends the extension block for whichever entries are present. A
-// request with no extensions gets no block at all, preserving the
-// byte-identical-to-legacy property the protocol promises.
-void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
-                      bool want_version, bool binary_stats) {
-  uint8_t entries = static_cast<uint8_t>((trace_id != 0 ? 1 : 0) +
-                                         (want_version ? 1 : 0) +
-                                         (binary_stats ? 1 : 0));
+// Appends the extension block for whichever entries `req` carries, with
+// the given trace stamped. A request with no extensions gets no block at
+// all, preserving the byte-identical-to-legacy property the protocol
+// promises.
+void AppendExtensions(BinaryWriter* w, const Request& req, uint64_t trace_id,
+                      uint8_t attempt) {
+  const bool flags[] = {req.want_version, req.version_only, req.binary_stats};
+  const uint8_t tags[] = {kExtensionTagWantVersion, kExtensionTagVersionOnly,
+                          kExtensionTagBinaryStats};
+  uint8_t entries = trace_id != 0 ? 1 : 0;
+  for (bool flag : flags) entries += flag ? 1 : 0;
   if (entries == 0) return;
   w->PutU32(kRequestExtensionMagic);
   w->PutU8(entries);
@@ -37,16 +42,13 @@ void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
     w->PutU64(trace_id);
     w->PutU8(attempt);
   }
-  if (want_version) {
-    w->PutU8(kExtensionTagWantVersion);
-    w->PutU8(0);  // Flag entry: presence is the value.
-  }
-  if (binary_stats) {
-    w->PutU8(kExtensionTagBinaryStats);
+  for (size_t i = 0; i < std::size(flags); ++i) {
+    if (!flags[i]) continue;
+    w->PutU8(tags[i]);
     w->PutU8(0);  // Flag entry: presence is the value.
   }
 }
-}
+}  // namespace
 
 bool ObjectKey::Valid() const {
   constexpr uint64_t kU32Max = UINT32_MAX;
@@ -120,14 +122,14 @@ void Request::AppendTo(BinaryWriter* w) const {
 Bytes Request::Serialize() const {
   BinaryWriter w;
   AppendTo(&w);
-  AppendExtensions(&w, trace_id, attempt, want_version, binary_stats);
+  AppendExtensions(&w, *this, trace_id, attempt);
   return w.Take();
 }
 
 Bytes Request::SerializeWithTrace(uint64_t trace, uint8_t att) const {
   BinaryWriter w;
   AppendTo(&w);
-  AppendExtensions(&w, trace, att, want_version, binary_stats);
+  AppendExtensions(&w, *this, trace, att);
   return w.Take();
 }
 
@@ -145,6 +147,8 @@ Status Request::ReadExtensions(BinaryReader* r, Request* req) {
       req->attempt = r->GetU8();
     } else if (tag == kExtensionTagWantVersion && len == 0) {
       req->want_version = true;
+    } else if (tag == kExtensionTagVersionOnly && len == 0) {
+      req->version_only = true;
     } else if (tag == kExtensionTagBinaryStats && len == 0) {
       req->binary_stats = true;
     } else {

@@ -152,6 +152,14 @@ inline constexpr uint8_t kExtensionTagTrace = 1;  // u64 trace id, u8 attempt.
 // the flag covers every sub-read. Legacy readers never set it and see
 // the pre-tombstone wire shapes byte-for-byte.
 inline constexpr uint8_t kExtensionTagWantVersion = 3;
+// Zero-length flag honoured only together with kExtensionTagWantVersion:
+// a live hit answers kOk with the bare 16-byte Version and no blob, so a
+// version probe (the anti-entropy scrubber's) costs no blob bytes.
+// Tombstones and misses answer as without it. A legacy daemon skips the
+// unknown tag and sends full versioned blobs, which DecodeVersionedReply
+// reads the same way; requests without the flag are byte-identical to
+// the pre-flag wire.
+inline constexpr uint8_t kExtensionTagVersionOnly = 5;
 // Zero-length flag on kGetStats: the caller wants the registry snapshot
 // in the mergeable binary form (obs::RegistrySnapshot::SerializeBinary)
 // instead of JSON, so a fan-out client can fold per-node snapshots into
@@ -182,9 +190,11 @@ struct Request {
   uint64_t trace_id = 0;
   uint8_t attempt = 0;
 
-  // Versioned-read flag (TLV-carried; a kBatch's flag covers its
-  // sub-reads).
+  // Versioned-read flags (TLV-carried; a kBatch's flags cover its
+  // sub-reads). `version_only` drops live blobs from versioned replies
+  // and means nothing without `want_version`.
   bool want_version = false;
+  bool version_only = false;
 
   // Admin extension: kGetStats replies with a binary RegistrySnapshot
   // instead of JSON (the stats fan-out's mergeable form).

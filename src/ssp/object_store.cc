@@ -214,12 +214,13 @@ size_t ObjectStore::LiveCount(ObjectFamily family, uint64_t k1) const {
 }
 
 std::optional<ObjectStore::Versioned> ObjectStore::GetVersioned(
-    const ObjectKey& key) const {
+    const ObjectKey& key, bool with_blob) const {
   Shard& s = ShardFor(key.k1);
   auto lock = AcquireShared(s.mu);
   auto it = s.entries.find(key);
   if (it == s.entries.end()) return std::nullopt;
-  return Versioned{it->second.blob, it->second.version, it->second.tombstone};
+  return Versioned{with_blob ? it->second.blob : Bytes{}, it->second.version,
+                   it->second.tombstone};
 }
 
 std::vector<ObjectVersion> ObjectStore::ListVersions() const {

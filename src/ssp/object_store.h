@@ -123,8 +123,10 @@ class ObjectStore {
 
   /// Versioned read for the wire's want_version path and the scrubber:
   /// the entry (tombstones included, with their version) or nullopt if
-  /// the key is absent entirely.
-  std::optional<Versioned> GetVersioned(const ObjectKey& key) const;
+  /// the key is absent entirely. `with_blob` false leaves the blob empty
+  /// (a version-only probe copies no bytes).
+  std::optional<Versioned> GetVersioned(const ObjectKey& key,
+                                        bool with_blob = true) const;
 
   /// Every entry in the store, tombstones included, with versions.
   /// Snapshot-consistent per shard, not across shards — exactly what the

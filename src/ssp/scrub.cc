@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <vector>
 
 #include "obs/log.h"
@@ -12,7 +13,7 @@ namespace sharoes::ssp {
 
 namespace {
 
-/// One replica's decoded versioned answer for one key.
+/// One replica's decoded version probe for one key.
 struct ReplicaView : VersionedReply {
   uint32_t node_index = 0;
   bool self = false;
@@ -25,18 +26,23 @@ Scrubber::Scrubber(SspServer* server, const PlacementRing* ring,
     : server_(server),
       ring_(ring),
       node_id_(node_id),
-      peers_(std::move(peers)),
-      runs_(obs::MetricsRegistry::Global().counter("ssp.scrub.runs")),
-      repaired_(obs::MetricsRegistry::Global().counter("ssp.scrub.repaired")),
-      tombstones_gc_(
-          obs::MetricsRegistry::Global().counter("ssp.scrub.tombstones_gc")) {}
+      peers_(std::move(peers)) {
+  auto& reg = obs::MetricsRegistry::Global();
+  runs_ = reg.counter("ssp.scrub.runs");
+  examined_ = reg.counter("ssp.scrub.examined");
+  repaired_ = reg.counter("ssp.scrub.repaired");
+  tombstones_gc_ = reg.counter("ssp.scrub.tombstones_gc");
+  unreachable_ = reg.counter("ssp.scrub.unreachable");
+  pass_us_ = reg.histogram("ssp.scrub.pass_us");
+}
 
 ScrubPass Scrubber::RunOnce() {
+  const auto start = std::chrono::steady_clock::now();
   ScrubPass pass;
   runs_->Increment();
   const ClusterConfig& config = ring_->config();
   // Channels to peer daemons, opened lazily and reused for the whole
-  // pass; an unreachable peer marks every key's read on it failed.
+  // pass; an unreachable peer fails every call made to it.
   std::map<uint32_t, std::unique_ptr<SspChannel>> peers;
   auto replica_call = [&](uint32_t node_index,
                           const Request& req) -> Result<Response> {
@@ -51,40 +57,94 @@ ScrubPass Scrubber::RunOnce() {
     return it->second->Call(req);
   };
 
-  // The enumeration is a point-in-time shard-consistent listing; each
-  // key is then re-read versioned from every replica, so entries that
-  // changed since the listing are judged on fresh state.
+  // The enumeration is a point-in-time shard-consistent listing; every
+  // key is then probed on every replica, so entries that changed since
+  // the listing are judged on fresh state. Strays from an older ring
+  // epoch are skipped: their current owners scrub them.
+  std::vector<ObjectKey> keys;
+  // Per node index: the indices into `keys` of the keys it replicates.
+  std::vector<std::vector<size_t>> probes(config.nodes.size());
   for (const ObjectVersion& entry : server_->store().ListVersions()) {
     const uint64_t key = RoutingKeyOf(entry.key);
-    // Strays from an older ring epoch: their current owners scrub them.
     if (!ring_->Owns(node_id_, key)) continue;
-    ++pass.examined;
-    Request get = Request::Get(entry.key);
-    get.want_version = true;
+    for (uint32_t node_index : ring_->ReplicaIndicesFor(key)) {
+      probes[node_index].push_back(keys.size());
+    }
+    keys.push_back(entry.key);
+  }
+  pass.examined = keys.size();
 
-    const std::vector<uint32_t> replicas = ring_->ReplicaIndicesFor(key);
-    std::vector<ReplicaView> views;
-    for (uint32_t node_index : replicas) {
-      ReplicaView view;
-      view.node_index = node_index;
-      view.self = config.nodes[node_index].id == node_id_;
-      auto resp = replica_call(node_index, get);
-      if (resp.ok() && DecodeVersionedReply(*resp, &view)) {
-        views.push_back(std::move(view));
-      } else {
-        ++pass.unreachable;
+  // Phase 1: per replica, one version-only kBatch per kProbeChunk keys.
+  // This node probes first, so on a version tie Freshest (the first
+  // maximum) names our own copy and a fetch stays local.
+  std::vector<uint32_t> probe_order(config.nodes.size());
+  std::iota(probe_order.begin(), probe_order.end(), 0u);
+  std::stable_partition(probe_order.begin(), probe_order.end(), [&](uint32_t i) {
+    return config.nodes[i].id == node_id_;
+  });
+  std::vector<std::vector<ReplicaView>> views(keys.size());
+  // A key with any failed probe has no full quorum of replies: no GC.
+  std::vector<bool> vetoed(keys.size());
+  for (uint32_t node_index : probe_order) {
+    const std::vector<size_t>& mine = probes[node_index];
+    for (size_t first = 0; first < mine.size(); first += kProbeChunk) {
+      const size_t last = std::min(mine.size(), first + kProbeChunk);
+      std::vector<Request> gets;
+      for (size_t i = first; i < last; ++i) {
+        gets.push_back(Request::Get(keys[mine[i]]));
+      }
+      Request probe = Request::Batch(std::move(gets));
+      probe.want_version = true;
+      probe.version_only = true;
+      auto resp = replica_call(node_index, probe);
+      const bool answered = resp.ok() && resp->status == RespStatus::kOk &&
+                            resp->batch.size() == last - first;
+      for (size_t i = first; i < last; ++i) {
+        ReplicaView view;
+        view.node_index = node_index;
+        view.self = config.nodes[node_index].id == node_id_;
+        if (!answered ||
+            !DecodeVersionedReply(resp->batch[i - first], &view)) {
+          ++pass.unreachable;
+          vetoed[mine[i]] = true;
+          continue;
+        }
+        view.payload = Bytes();  // A legacy peer's blob: never judged.
+        views[mine[i]].push_back(std::move(view));
       }
     }
-    const bool all_replied = views.size() == replicas.size();
+  }
 
-    // Converge on the freshest state with the client's read-repair
-    // rule; a repeated repair is a no-op at the receiving store.
-    auto winner = Freshest(views.begin(), views.end());
-    if (winner == views.end()) continue;
+  // Phase 2: judge every key with the client's read-repair rule; a
+  // repeated repair is a no-op at the receiving store.
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const ObjectKey& key = keys[k];
+    std::vector<ReplicaView>& kv = views[k];
+    auto winner = Freshest(kv.begin(), kv.end());
+    if (winner == kv.end()) continue;
+    const bool stale_replica =
+        std::any_of(kv.begin(), kv.end(), [&](const ReplicaView& v) {
+          return v.version < winner->version;
+        });
+    if (winner->status == RespStatus::kOk && stale_replica) {
+      // Only a live winner's re-put needs its blob. Fetch it from the
+      // winner and repair only at the probed version; a key rewritten
+      // since the probe is left to the next pass.
+      Request get = Request::Get(key);
+      get.want_version = true;
+      auto resp = replica_call(winner->node_index, get);
+      VersionedReply fetched;
+      if (!resp.ok() || !DecodeVersionedReply(*resp, &fetched) ||
+          fetched.status != RespStatus::kOk ||
+          fetched.version != winner->version) {
+        continue;
+      }
+      winner->payload = std::move(fetched.payload);
+    }
     bool any_live = false;
-    for (const ReplicaView& v : views) {
+    for (const ReplicaView& v : kv) {
       any_live = any_live || v.status == RespStatus::kOk;
-      auto fix = RepairOp(entry.key, *winner, v);
+      auto fix = RepairOp(key, *winner, v);
       if (!fix.has_value()) continue;
       auto r = replica_call(v.node_index, *fix);
       ++pass.repaired;
@@ -99,23 +159,31 @@ ScrubPass Scrubber::RunOnce() {
     // vetoes the purge. Each daemon purges only its own tombstone, at
     // the exact version it just observed (a concurrent re-create aborts
     // inside RemoveTombstone).
-    if (winner->status == RespStatus::kDeleted && all_replied && !any_live) {
-      for (const ReplicaView& v : views) {
+    if (winner->status == RespStatus::kDeleted && !vetoed[k] && !any_live) {
+      for (const ReplicaView& v : kv) {
         if (v.self && v.status == RespStatus::kDeleted &&
-            server_->store().RemoveTombstone(entry.key, v.version)) {
+            server_->store().RemoveTombstone(key, v.version)) {
           ++pass.tombstones_gc;
         }
       }
     }
   }
 
+  examined_->Add(pass.examined);
   repaired_->Add(pass.repaired);
   tombstones_gc_->Add(pass.tombstones_gc);
+  unreachable_->Add(pass.unreachable);
+  const auto pass_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  pass_us_->Record(pass_us);
   obs::Log(obs::Severity::kInfo, "ssp.scrub.pass",
            {{"examined", pass.examined},
             {"repaired", pass.repaired},
             {"tombstones_gc", pass.tombstones_gc},
-            {"unreachable", pass.unreachable}});
+            {"unreachable", pass.unreachable},
+            {"pass_us", pass_us}});
   return pass;
 }
 

@@ -200,12 +200,12 @@ Response SspServer::Handle(const Request& req) {
       }
       mutated = mutated || IsMutatingOp(sub.op);
       // Sub-requests never carry extensions on the wire; the top-level
-      // frame's versioned-read flag covers every sub-read.
-      resp.batch.push_back(HandleOne(sub, req.want_version, &max_wal_seq));
+      // frame's versioned-read flags cover every sub-read.
+      resp.batch.push_back(HandleOne(sub, req, &max_wal_seq));
     }
   } else {
     mutated = IsMutatingOp(req.op);
-    resp = HandleOne(req, req.want_version, &max_wal_seq);
+    resp = HandleOne(req, req, &max_wal_seq);
   }
 
   // One durability point per top-level request: under sync=always a
@@ -226,7 +226,7 @@ Response SspServer::Handle(const Request& req) {
   return resp;
 }
 
-Response SspServer::HandleOne(const Request& req, bool want_version,
+Response SspServer::HandleOne(const Request& req, const Request& frame,
                               uint64_t* max_wal_seq) {
   // Shard-ownership gate (placement.h): a store-scoped op for a routing
   // key this daemon does not replicate is refused before it can touch
@@ -304,11 +304,12 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
     return Response::BadRequest();  // kBatch is handled by Handle().
   }
   obs::PhaseScope store_phase(obs::Phase::kStore);
-  if (want_version) {
+  if (frame.want_version) {
     // Versioned read (quorum/repair/scrub path): expose the entry's
     // version, and distinguish "deleted" (tombstone, comparable) from
-    // "never heard of it" (plain kNotFound).
-    auto v = store_.GetVersioned(req.key);
+    // "never heard of it" (plain kNotFound). A version-only probe skips
+    // the blob copy and answers with the bare version.
+    auto v = store_.GetVersioned(req.key, /*with_blob=*/!frame.version_only);
     if (!v.has_value()) return Response::NotFound();
     if (v->tombstone) return Response::Deleted(v->version);
     return Response::Versioned(std::move(v->blob), v->version);

@@ -83,11 +83,12 @@ class SspServer {
   /// Executes one non-batch op. When the op mutates under a WAL,
   /// `*max_wal_seq` is raised to the sequence its log append was
   /// assigned — Handle() commits through the highest one, so a whole
-  /// batch shares a single durability point. `want_version` is the
-  /// top-level frame's versioned-read flag (a kBatch's flag covers all
-  /// sub-reads): live hits gain a 16-byte version suffix, tombstones
-  /// answer kDeleted instead of kNotFound.
-  Response HandleOne(const Request& req, bool want_version,
+  /// batch shares a single durability point. `frame` is the top-level
+  /// request, whose versioned-read flags cover every sub-read of a
+  /// kBatch: with want_version live hits gain a 16-byte version suffix
+  /// (or, with version_only too, answer with the bare version) and
+  /// tombstones answer kDeleted instead of kNotFound.
+  Response HandleOne(const Request& req, const Request& frame,
                      uint64_t* max_wal_seq);
   /// Publishes this server's store accounting as registry gauges
   /// (ssp.store.*). Several live servers sum in the snapshot.

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ssp/object_store.h"
@@ -219,19 +220,25 @@ TEST(WalModelConcurrency, CompactRacesAppendsWithoutTearingTheCut) {
   ASSERT_TRUE(wal.ok()) << wal.status();
   server.set_wal(wal->get());
 
+  // Writers hold off until the compactor is running, and the compactor
+  // compacts at least once even if writer 0 finishes first, so the race
+  // is exercised however the threads are scheduled.
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   constexpr int kWriters = 3;
   sharoes::testing::StressThreads(kWriters + 1, [&](int t) -> Status {
     if (t == kWriters) {  // The compactor.
       int compactions = 0;
-      while (!done.load(std::memory_order_acquire)) {
+      started.store(true, std::memory_order_release);
+      do {
         Status s = (*wal)->Compact();
         if (!s.ok()) return s;
         ++compactions;
-      }
+      } while (!done.load(std::memory_order_acquire));
       return compactions > 0 ? Status::OK()
                              : Status::Internal("compactor starved");
     }
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
     Rng rng(0xABCD + static_cast<uint64_t>(t));
     fs::InodeNum base = 1 + static_cast<fs::InodeNum>(t) * 1000;
     for (int i = 0; i < 120; ++i) {

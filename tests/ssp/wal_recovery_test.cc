@@ -367,8 +367,11 @@ TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
     std::atomic<bool> done{false};
     std::thread controller([&] {
       if (!churn) return;
+      // The first kill comes at once: with fast crypto the whole
+      // sequence can finish inside one 100 ms pause, and then no kill
+      // would land during it at all.
       for (int i = 0; i < 3 && !done.load(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
         daemon.RestartHard();
       }
     });

@@ -24,12 +24,14 @@
 // resurrecting it.
 //
 // --scrub-interval-s N (cluster mode only) runs the anti-entropy
-// scrubber every N seconds: each pass reads every owned key from all K
-// replicas, repairs stale/missing/resurrected copies toward the
-// freshest acknowledged state, and garbage-collects tombstones that a
-// full quorum agrees are redundant (ssp/scrub.h; counters
-// ssp.scrub.{runs,repaired,tombstones_gc}). 0 (default) disables the
-// background thread.
+// scrubber every N seconds: each pass probes the versions of every owned
+// key on all K replicas (batched, no blobs), fetches a blob only to
+// repair a stale/missing/resurrected copy toward the freshest
+// acknowledged state, and garbage-collects tombstones that a full quorum
+// agrees are redundant (ssp/scrub.h; counters
+// ssp.scrub.{runs,examined,repaired,tombstones_gc,unreachable} and the
+// ssp.scrub.pass_us histogram). 0 (default) disables the background
+// thread.
 //
 // --wal DIR makes the store durable: every mutating op is appended to a
 // write-ahead log in DIR before it is acknowledged, and startup recovers
