@@ -10,6 +10,118 @@ namespace sharoes::baselines {
 namespace {
 /// Pseudo-user slot holding the shared plaintext superblock.
 constexpr uint32_t kSuperblockSlot = 0;
+
+// ----- The baseline layout -----
+// One encoder per stored object kind. BaselineProvisioner and
+// BaselineClient both write through these, so a migrated tree and a
+// client-built one are stored alike.
+
+/// A new object's record: `attrs`, a fresh data key (none in
+/// NO-ENC-MD-D) and, in the public-key modes, the pad standing in for
+/// signing key material.
+BaselineRecord NewRecord(const BaselineOptions& opts,
+                         crypto::CryptoEngine* engine, fs::InodeAttrs attrs) {
+  BaselineRecord rec;
+  rec.attrs = std::move(attrs);
+  if (opts.mode != SecurityMode::kNoEncMdD) {
+    rec.dek = engine->NewSymmetricKey().key;
+  }
+  if (opts.mode == SecurityMode::kPublic ||
+      opts.mode == SecurityMode::kPubOpt) {
+    rec.signing_material = Bytes(opts.metadata_pad, 0x5A);
+  }
+  return rec;
+}
+
+/// Encrypts table or file bytes under the object's data key, except in
+/// NO-ENC-MD-D, which stores them in the clear.
+Bytes SealData(SecurityMode mode, crypto::CryptoEngine* engine,
+               const Bytes& dek, const Bytes& plain) {
+  if (mode == SecurityMode::kNoEncMdD) return plain;
+  return engine->SymEncrypt(crypto::SymmetricKey{dek}, plain);
+}
+
+/// The puts storing a record: one plaintext put (NO-ENC modes), one
+/// sealed put plus its key wrapped to every user (PUB-OPT), or one RSA
+/// copy per user (PUBLIC).
+Status RecordPuts(SecurityMode mode, const core::IdentityDirectory& identity,
+                  crypto::CryptoEngine* engine, const BaselineRecord& record,
+                  std::vector<ssp::Request>* out) {
+  Bytes plain = record.Serialize();
+  fs::InodeNum inode = record.attrs.inode;
+  switch (mode) {
+    case SecurityMode::kNoEncMdD:
+    case SecurityMode::kNoEncMd:
+      out->push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(inode, 0),
+                                       std::move(plain)));
+      return Status::OK();
+    case SecurityMode::kPubOpt: {
+      crypto::SymmetricKey k = engine->NewSymmetricKey();
+      out->push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(inode, 0),
+                                       engine->SymEncrypt(k, plain)));
+      for (fs::UserId uid : identity.AllUsers()) {
+        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user, identity.GetUser(uid));
+        SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
+                                 engine->PkEncrypt(user.public_key, k.key));
+        out->push_back(ssp::Request::Put(
+            ssp::ObjectKey::UserMetadata(inode, uid), std::move(wrapped)));
+      }
+      return Status::OK();
+    }
+    case SecurityMode::kPublic: {
+      for (fs::UserId uid : identity.AllUsers()) {
+        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user, identity.GetUser(uid));
+        SHAROES_ASSIGN_OR_RETURN(Bytes enc,
+                                 engine->PkEncrypt(user.public_key, plain));
+        out->push_back(ssp::Request::Put(
+            ssp::ObjectKey::UserMetadata(inode, uid), std::move(enc)));
+      }
+      return Status::OK();
+    }
+  }
+  return Status::Internal("bad mode");
+}
+
+/// The put storing a directory's table, in block 0 of its data.
+ssp::Request TablePut(SecurityMode mode, crypto::CryptoEngine* engine,
+                      const BaselineRecord& dir, const fs::DirTable& table) {
+  return ssp::Request::Put(ssp::ObjectKey::Data(dir.attrs.inode, 0),
+                           SealData(mode, engine, dir.dek, table.Serialize()));
+}
+
+/// The puts storing a file's content: the descriptor and first chunk in
+/// block 1, each further chunk in the next block (block 0 is reserved for
+/// directory tables). `plains`, when non-null, receives each put's
+/// plaintext.
+std::vector<ssp::Request> FileBlockPuts(const BaselineOptions& opts,
+                                        crypto::CryptoEngine* engine,
+                                        const BaselineRecord& file,
+                                        const Bytes& content,
+                                        std::vector<Bytes>* plains) {
+  core::DataDescriptor desc;
+  desc.size = content.size();
+  desc.block_count =
+      core::ObjectCodec::BlockCount(content.size(), opts.block_size);
+  // Baselines have no per-block AEAD tags; the zero root keeps the
+  // descriptor wire shape shared with the SHAROES client.
+  desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
+  std::vector<ssp::Request> puts;
+  for (uint32_t i = 0; i < desc.block_count; ++i) {
+    Bytes plain = core::ObjectCodec::BlockChunk(content, opts.block_size, i);
+    if (i == 0) {
+      BinaryWriter w;
+      desc.AppendTo(&w);
+      w.PutRaw(plain);
+      plain = w.Take();
+    }
+    puts.push_back(
+        ssp::Request::Put(ssp::ObjectKey::Data(file.attrs.inode, i + 1),
+                          SealData(opts.mode, engine, file.dek, plain)));
+    if (plains != nullptr) plains->push_back(std::move(plain));
+  }
+  return puts;
+}
+
 }  // namespace
 
 std::string SecurityModeName(SecurityMode mode) {
@@ -56,74 +168,23 @@ BaselineProvisioner::BaselineProvisioner(
       engine_(engine),
       options_(options) {}
 
-Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
-  Bytes plain = record.Serialize();
-  fs::InodeNum inode = record.attrs.inode;
-  switch (options_.mode) {
-    case SecurityMode::kNoEncMdD:
-    case SecurityMode::kNoEncMd:
-      server_->store().Put(ssp::ObjectKey::Metadata(inode, 0),
-                           std::move(plain));
-      return Status::OK();
-    case SecurityMode::kPubOpt: {
-      crypto::SymmetricKey k = engine_->NewSymmetricKey();
-      server_->store().Put(ssp::ObjectKey::Metadata(inode, 0),
-                           engine_->SymEncrypt(k, plain));
-      for (fs::UserId uid : identity_->AllUsers()) {
-        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
-                                 identity_->GetUser(uid));
-        SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
-                                 engine_->PkEncrypt(user.public_key, k.key));
-        server_->store().Put(ssp::ObjectKey::UserMetadata(inode, uid),
-                             std::move(wrapped));
-      }
-      return Status::OK();
-    }
-    case SecurityMode::kPublic: {
-      for (fs::UserId uid : identity_->AllUsers()) {
-        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
-                                 identity_->GetUser(uid));
-        SHAROES_ASSIGN_OR_RETURN(Bytes enc,
-                                 engine_->PkEncrypt(user.public_key, plain));
-        server_->store().Put(ssp::ObjectKey::UserMetadata(inode, uid),
-                             std::move(enc));
-      }
-      return Status::OK();
-    }
+void BaselineProvisioner::Apply(std::vector<ssp::Request> puts) {
+  for (ssp::Request& req : puts) {
+    server_->store().Put(req.key, std::move(req.payload));
   }
-  return Status::Internal("bad mode");
-}
-
-Status BaselineProvisioner::StoreTable(fs::InodeNum inode,
-                                       const fs::DirTable& table,
-                                       const Bytes& dek) {
-  Bytes plain = table.Serialize();
-  if (options_.mode == SecurityMode::kNoEncMdD) {
-    server_->store().Put(ssp::ObjectKey::Data(inode, 0), std::move(plain));
-  } else {
-    server_->store().Put(ssp::ObjectKey::Data(inode, 0),
-                         engine_->SymEncrypt(crypto::SymmetricKey{dek}, plain));
-  }
-  return Status::OK();
 }
 
 Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
                                         fs::InodeNum inode) {
-  BaselineRecord rec;
-  rec.attrs.inode = inode;
-  rec.attrs.type = spec.type;
-  rec.attrs.owner = spec.owner;
-  rec.attrs.group = spec.group;
-  rec.attrs.mode = spec.mode;
-  rec.attrs.acl = spec.acl;
-  rec.attrs.size = spec.content.size();
-  if (options_.mode != SecurityMode::kNoEncMdD) {
-    rec.dek = engine_->NewSymmetricKey().key;
-  }
-  if (options_.mode == SecurityMode::kPublic ||
-      options_.mode == SecurityMode::kPubOpt) {
-    rec.signing_material = Bytes(options_.metadata_pad, 0x5A);
-  }
+  fs::InodeAttrs attrs;
+  attrs.inode = inode;
+  attrs.type = spec.type;
+  attrs.owner = spec.owner;
+  attrs.group = spec.group;
+  attrs.mode = spec.mode;
+  attrs.acl = spec.acl;
+  attrs.size = spec.content.size();
+  BaselineRecord rec = NewRecord(options_, engine_, std::move(attrs));
   if (spec.type == fs::FileType::kDirectory) {
     fs::DirTable table;
     for (const core::LocalNode& child : spec.children) {
@@ -131,38 +192,15 @@ Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
       SHAROES_RETURN_IF_ERROR(table.Add(child.name, child_inode));
       SHAROES_RETURN_IF_ERROR(MigrateNode(child, child_inode));
     }
-    SHAROES_RETURN_IF_ERROR(StoreTable(inode, table, rec.dek));
+    Apply({TablePut(options_.mode, engine_, rec, table)});
   } else {
-    // File content, chunked with a descriptor prefix in block 0.
-    const Bytes& content = spec.content;
-    size_t bs = options_.block_size;
-    core::DataDescriptor desc;
-    desc.size = content.size();
-    size_t chunk0 = std::min(content.size(), bs);
-    desc.block_count =
-        1 + static_cast<uint32_t>((content.size() - chunk0 + bs - 1) / bs);
-    // Baselines have no per-block AEAD tags; the zero root keeps the
-    // descriptor wire shape shared with the SHAROES client.
-    desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
-    BinaryWriter w0;
-    desc.AppendTo(&w0);
-    w0.PutRaw(content.data(), chunk0);
-    Bytes b0 = w0.Take();
-    if (options_.mode != SecurityMode::kNoEncMdD) {
-      b0 = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, b0);
-    }
-    server_->store().Put(ssp::ObjectKey::Data(inode, 1), std::move(b0));
-    uint32_t idx = 2;
-    for (size_t pos = chunk0; pos < content.size(); pos += bs, ++idx) {
-      size_t n = std::min(bs, content.size() - pos);
-      Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-      if (options_.mode != SecurityMode::kNoEncMdD) {
-        chunk = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, chunk);
-      }
-      server_->store().Put(ssp::ObjectKey::Data(inode, idx), std::move(chunk));
-    }
+    Apply(FileBlockPuts(options_, engine_, rec, spec.content, nullptr));
   }
-  return StoreRecord(rec);
+  std::vector<ssp::Request> record_puts;
+  SHAROES_RETURN_IF_ERROR(
+      RecordPuts(options_.mode, *identity_, engine_, rec, &record_puts));
+  Apply(std::move(record_puts));
+  return Status::OK();
 }
 
 Status BaselineProvisioner::Migrate(const core::LocalNode& root) {
@@ -359,53 +397,6 @@ Result<std::vector<std::string>> BaselineClient::Readdir(
   return names;
 }
 
-Status BaselineClient::EncodeRecordPuts(const BaselineRecord& record,
-                                        std::vector<ssp::Request>* out) {
-  Bytes plain = record.Serialize();
-  fs::InodeNum inode = record.attrs.inode;
-  switch (options_.mode) {
-    case SecurityMode::kNoEncMdD:
-    case SecurityMode::kNoEncMd:
-      out->push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(inode, 0),
-                                       std::move(plain)));
-      return Status::OK();
-    case SecurityMode::kPubOpt: {
-      crypto::SymmetricKey k = engine_->NewSymmetricKey();
-      out->push_back(ssp::Request::Put(ssp::ObjectKey::Metadata(inode, 0),
-                                       engine_->SymEncrypt(k, plain)));
-      for (fs::UserId uid : identity_->AllUsers()) {
-        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
-                                 identity_->GetUser(uid));
-        SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
-                                 engine_->PkEncrypt(user.public_key, k.key));
-        out->push_back(ssp::Request::Put(
-            ssp::ObjectKey::UserMetadata(inode, uid), std::move(wrapped)));
-      }
-      return Status::OK();
-    }
-    case SecurityMode::kPublic: {
-      for (fs::UserId uid : identity_->AllUsers()) {
-        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
-                                 identity_->GetUser(uid));
-        SHAROES_ASSIGN_OR_RETURN(Bytes enc,
-                                 engine_->PkEncrypt(user.public_key, plain));
-        out->push_back(ssp::Request::Put(
-            ssp::ObjectKey::UserMetadata(inode, uid), std::move(enc)));
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("bad mode");
-}
-
-Bytes BaselineClient::EncodeTable(const BaselineRecord& dir,
-                                  const fs::DirTable& table) {
-  Bytes plain = table.Serialize();
-  if (options_.mode == SecurityMode::kNoEncMdD) return plain;
-  auto dek = crypto::SymmetricKey::Deserialize(dir.dek);
-  return engine_->SymEncrypt(*dek, plain);
-}
-
 Status BaselineClient::ExecuteBatch(std::vector<ssp::Request> requests) {
   if (requests.empty()) return Status::OK();
   SHAROES_ASSIGN_OR_RETURN(
@@ -435,38 +426,29 @@ Status BaselineClient::CreateObject(const std::string& path,
     return Status::AlreadyExists("'" + path + "' already exists");
   }
 
-  BaselineRecord rec;
-  rec.attrs.inode = AllocateInode();
-  rec.attrs.type = type;
-  rec.attrs.owner = uid_;
-  rec.attrs.group = parent.attrs.group;
-  rec.attrs.mode = opts.mode;
-  rec.attrs.acl = opts.acl;
-  if (options_.mode != SecurityMode::kNoEncMdD) {
-    rec.dek = engine_->NewSymmetricKey().key;
-  }
-  if (options_.mode == SecurityMode::kPublic ||
-      options_.mode == SecurityMode::kPubOpt) {
-    rec.signing_material = Bytes(options_.metadata_pad, 0x5A);
-  }
+  fs::InodeAttrs attrs;
+  attrs.inode = AllocateInode();
+  attrs.type = type;
+  attrs.owner = uid_;
+  attrs.group = parent.attrs.group;
+  attrs.mode = opts.mode;
+  attrs.acl = opts.acl;
+  BaselineRecord rec = NewRecord(options_, engine_, std::move(attrs));
 
   // Batch 1: the new object's metadata (+ empty table for directories).
   std::vector<ssp::Request> batch1;
-  SHAROES_RETURN_IF_ERROR(EncodeRecordPuts(rec, &batch1));
+  SHAROES_RETURN_IF_ERROR(
+      RecordPuts(options_.mode, *identity_, engine_, rec, &batch1));
   if (type == fs::FileType::kDirectory) {
-    fs::DirTable empty;
-    batch1.push_back(ssp::Request::Put(ssp::ObjectKey::Data(rec.attrs.inode, 0),
-                                       EncodeTable(rec, empty)));
+    batch1.push_back(TablePut(options_.mode, engine_, rec, fs::DirTable{}));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
 
   // Batch 2: the parent's updated table.
   SHAROES_RETURN_IF_ERROR(table.Add(sp.name, rec.attrs.inode));
   std::vector<ssp::Request> batch2;
-  Bytes table_wire = EncodeTable(parent, table);
-  size_t table_size = table_wire.size();
-  batch2.push_back(ssp::Request::Put(
-      ssp::ObjectKey::Data(parent.attrs.inode, 0), std::move(table_wire)));
+  batch2.push_back(TablePut(options_.mode, engine_, parent, table));
+  size_t table_size = batch2.back().payload.size();
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
   // Keep what we just wrote in cache (the client has it all in memory).
   cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
@@ -555,7 +537,8 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
 
 Result<Bytes> BaselineClient::Read(const std::string& path) {
   ChargeClientOverhead();
-  auto buf_it = write_buffers_.find(path);
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
+  auto buf_it = write_buffers_.find(norm);
   if (buf_it != write_buffers_.end()) return buf_it->second.content;
   BaselineRecord rec;
   SHAROES_RETURN_IF_ERROR(ResolveInode(path, &rec).status());
@@ -569,7 +552,10 @@ Result<Bytes> BaselineClient::Read(const std::string& path) {
 }
 
 Status BaselineClient::Write(const std::string& path, const Bytes& content) {
-  auto it = write_buffers_.find(path);
+  // Buffers key by the canonical spelling: "/a//b" and "/a/b" are one
+  // file and must hit one dirty buffer.
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
+  auto it = write_buffers_.find(norm);
   if (it != write_buffers_.end()) {
     it->second.content = content;
     it->second.dirty = true;
@@ -583,56 +569,26 @@ Status BaselineClient::Write(const std::string& path, const Bytes& content) {
   if (!fs::Allows(rec.attrs, principal_, fs::Access::kWrite)) {
     return Status::PermissionDenied("no write permission");
   }
-  write_buffers_[path] = WriteBuffer{rec.attrs.inode, content, true};
+  write_buffers_[norm] = WriteBuffer{rec.attrs.inode, content, true};
   return Status::OK();
 }
 
 Status BaselineClient::FlushBuffer(WriteBuffer* buf,
                                    const BaselineRecord& record) {
-  crypto::SymmetricKey dek;
-  if (options_.mode != SecurityMode::kNoEncMdD) {
-    SHAROES_ASSIGN_OR_RETURN(dek,
-                             crypto::SymmetricKey::Deserialize(record.dek));
-  }
-  const Bytes& content = buf->content;
-  size_t bs = options_.block_size;
-  core::DataDescriptor desc;
-  desc.size = content.size();
-  size_t chunk0 = std::min(content.size(), bs);
-  desc.block_count =
-      1 + static_cast<uint32_t>((content.size() - chunk0 + bs - 1) / bs);
-  desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
-
-  std::vector<ssp::Request> puts;
-  // Block 0 holds the directory table for dirs; files start at block 1.
-  BinaryWriter w0;
-  desc.AppendTo(&w0);
-  w0.PutRaw(content.data(), chunk0);
-  Bytes plain0 = w0.Take();
-  Bytes wire0 = options_.mode == SecurityMode::kNoEncMdD
-                    ? plain0
-                    : engine_->SymEncrypt(dek, plain0);
-  cache_.Put("d|" + std::to_string(buf->inode) + "|1", plain0, wire0.size());
-  puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(buf->inode, 1),
-                                   std::move(wire0)));
-  uint32_t idx = 2;
-  for (size_t pos = chunk0; pos < content.size(); pos += bs, ++idx) {
-    size_t n = std::min(bs, content.size() - pos);
-    Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-    Bytes wire = options_.mode == SecurityMode::kNoEncMdD
-                     ? chunk
-                     : engine_->SymEncrypt(dek, chunk);
-    cache_.Put("d|" + std::to_string(buf->inode) + "|" + std::to_string(idx),
-               chunk, wire.size());
-    puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(buf->inode, idx),
-                                     std::move(wire)));
+  std::vector<Bytes> plains;
+  std::vector<ssp::Request> puts =
+      FileBlockPuts(options_, engine_, record, buf->content, &plains);
+  for (size_t i = 0; i < puts.size(); ++i) {
+    cache_.Put("d|" + std::to_string(buf->inode) + "|" + std::to_string(i + 1),
+               std::move(plains[i]), puts[i].payload.size());
   }
   return ExecuteBatch(std::move(puts));
 }
 
 Status BaselineClient::Close(const std::string& path) {
   ChargeClientOverhead();
-  auto it = write_buffers_.find(path);
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
+  auto it = write_buffers_.find(norm);
   if (it == write_buffers_.end()) return Status::OK();
   Status s = Status::OK();
   if (it->second.dirty) {
@@ -657,7 +613,8 @@ Status BaselineClient::Chmod(const std::string& path, fs::Mode mode) {
   }
   rec.attrs.mode = mode;
   std::vector<ssp::Request> batch;
-  SHAROES_RETURN_IF_ERROR(EncodeRecordPuts(rec, &batch));
+  SHAROES_RETURN_IF_ERROR(
+      RecordPuts(options_.mode, *identity_, engine_, rec, &batch));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   InvalidateInode(rec.attrs.inode);
   return Status::OK();
@@ -689,10 +646,8 @@ Status BaselineClient::RemoveObject(const std::string& path,
   }
   SHAROES_RETURN_IF_ERROR(table.Remove(sp.name));
   std::vector<ssp::Request> batch;
-  Bytes table_wire = EncodeTable(parent, table);
-  size_t table_size = table_wire.size();
-  batch.push_back(ssp::Request::Put(ssp::ObjectKey::Data(parent.attrs.inode, 0),
-                                    std::move(table_wire)));
+  batch.push_back(TablePut(options_.mode, engine_, parent, table));
+  size_t table_size = batch.back().payload.size();
   batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kMetadata,
                                             *child));
   batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData, *child));
@@ -703,7 +658,8 @@ Status BaselineClient::RemoveObject(const std::string& path,
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
   InvalidateInode(*child);
-  write_buffers_.erase(path);
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
+  write_buffers_.erase(norm);
   return Status::OK();
 }
 
@@ -712,11 +668,12 @@ Status BaselineClient::Rename(const std::string& from,
   ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent src, fs::SplitParentName(from));
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent dst, fs::SplitParentName(to));
-  if (to.size() > from.size() && to.compare(0, from.size(), from) == 0 &&
-      to[from.size()] == '/') {
+  SHAROES_ASSIGN_OR_RETURN(std::string nfrom, fs::NormalizePath(from));
+  SHAROES_ASSIGN_OR_RETURN(std::string nto, fs::NormalizePath(to));
+  if (fs::IsBelow(nto, nfrom)) {
     return Status::InvalidArgument("cannot move a directory into itself");
   }
-  if (from == to) return Status::OK();
+  if (nfrom == nto) return Status::OK();
   BaselineRecord src_parent;
   SHAROES_RETURN_IF_ERROR(ResolveInode(src.parent, &src_parent).status());
   if (!fs::Allows(src_parent.attrs, principal_, fs::Access::kWrite)) {
@@ -733,10 +690,8 @@ Status BaselineClient::Rename(const std::string& from,
     }
     SHAROES_RETURN_IF_ERROR(src_table.Remove(src.name));
     SHAROES_RETURN_IF_ERROR(src_table.Add(dst.name, *child));
-    Bytes wire = EncodeTable(src_parent, src_table);
-    size_t size = wire.size();
-    batch.push_back(ssp::Request::Put(
-        ssp::ObjectKey::Data(src_parent.attrs.inode, 0), std::move(wire)));
+    batch.push_back(TablePut(options_.mode, engine_, src_parent, src_table));
+    size_t size = batch.back().payload.size();
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
     cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
                size);
@@ -755,24 +710,19 @@ Status BaselineClient::Rename(const std::string& from,
     }
     SHAROES_RETURN_IF_ERROR(src_table.Remove(src.name));
     SHAROES_RETURN_IF_ERROR(dst_table.Add(dst.name, *child));
-    Bytes src_wire = EncodeTable(src_parent, src_table);
-    Bytes dst_wire = EncodeTable(dst_parent, dst_table);
-    size_t src_size = src_wire.size(), dst_size = dst_wire.size();
-    batch.push_back(ssp::Request::Put(
-        ssp::ObjectKey::Data(src_parent.attrs.inode, 0), std::move(src_wire)));
-    batch.push_back(ssp::Request::Put(
-        ssp::ObjectKey::Data(dst_parent.attrs.inode, 0), std::move(dst_wire)));
+    batch.push_back(TablePut(options_.mode, engine_, src_parent, src_table));
+    batch.push_back(TablePut(options_.mode, engine_, dst_parent, dst_table));
+    size_t src_size = batch[0].payload.size();
+    size_t dst_size = batch[1].payload.size();
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
     cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
                src_size);
     cache_.Put("t|" + std::to_string(dst_parent.attrs.inode), dst_table,
                dst_size);
   }
-  auto buf_it = write_buffers_.find(from);
-  if (buf_it != write_buffers_.end()) {
-    write_buffers_[to] = std::move(buf_it->second);
-    write_buffers_.erase(buf_it);
-  }
+  // Buffered writes follow the move: the file itself, or every buffered
+  // file under a moved directory.
+  fs::RekeySubtree(&write_buffers_, nfrom, nto);
   return Status::OK();
 }
 

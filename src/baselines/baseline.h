@@ -82,17 +82,14 @@ class BaselineProvisioner {
 
  private:
   Status MigrateNode(const core::LocalNode& spec, fs::InodeNum inode);
-  Status StoreRecord(const BaselineRecord& record);
-  Status StoreTable(fs::InodeNum inode, const fs::DirTable& table,
-                    const Bytes& dek);
+  /// Writes rendered puts straight into the local store, in order.
+  void Apply(std::vector<ssp::Request> puts);
 
   const core::IdentityDirectory* identity_;
   ssp::SspServer* server_;
   crypto::CryptoEngine* engine_;
   BaselineOptions options_;
   fs::InodeNum next_inode_ = fs::kRootInode;
-
-  friend class BaselineClient;
 };
 
 /// The baseline client filesystem.
@@ -134,11 +131,6 @@ class BaselineClient : public core::FsClient {
   Result<fs::DirTable> FetchTable(const BaselineRecord& dir);
   Result<fs::InodeNum> ResolveInode(const std::string& path,
                                     BaselineRecord* out_record);
-  /// Encodes a record into the SSP requests that store it (mode-specific:
-  /// one plaintext put, one sealed put + N wraps, or N per-user copies).
-  Status EncodeRecordPuts(const BaselineRecord& record,
-                          std::vector<ssp::Request>* out);
-  Bytes EncodeTable(const BaselineRecord& dir, const fs::DirTable& table);
   Status CreateObject(const std::string& path, fs::FileType type,
                       const core::CreateOptions& opts);
   Status RemoveObject(const std::string& path, fs::FileType type);

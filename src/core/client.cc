@@ -28,6 +28,12 @@ Status ReadSubError(const std::string& what, ssp::RespStatus status) {
   }
 }
 
+/// Moves a rendered object set onto the end of a batch.
+void AppendRequests(std::vector<ssp::Request> more,
+                    std::vector<ssp::Request>* out) {
+  for (ssp::Request& r : more) out->push_back(std::move(r));
+}
+
 /// Builds the partial bundle a directory writer holds (table keys + data
 /// signing pair); owners use MetadataView::ToBundle for the full bundle.
 Result<ObjectKeyBundle> BundleForWriter(const MetadataView& view) {
@@ -110,12 +116,6 @@ Result<ssp::Response> SharoesClient::Rpc(const ssp::Request& req) {
   // from this op's point of view.
   obs::PhaseScope wire_phase(obs::Phase::kWireWait);
   return conn_->Call(req);
-}
-
-Result<std::string> SharoesClient::NormalizePath(const std::string& path) {
-  SHAROES_ASSIGN_OR_RETURN(std::vector<std::string> comps,
-                           fs::SplitPath(path));
-  return fs::JoinPath(comps);
 }
 
 uint32_t SharoesClient::InitialWindowBlocks() const {
@@ -600,7 +600,7 @@ Result<fs::InodeAttrs> SharoesClient::Getattr(const std::string& path) {
   // this client can know without extra round trips: a dirty write buffer
   // or the locally cached descriptor.
   if (!attrs.is_dir()) {
-    SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
+    SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
     auto buf_it = write_buffers_.find(norm);
     if (buf_it != write_buffers_.end()) {
       attrs.size = buf_it->second.content.size();
@@ -631,25 +631,6 @@ Result<std::vector<std::string>> SharoesClient::Readdir(
     return Status::PermissionDenied("directory CAP does not permit listing");
   }
   return table->names;
-}
-
-ObjectKeyBundle SharoesClient::GenerateBundle(
-    const OwnershipInfo& info, const std::vector<ReplicaSpec>& specs) {
-  ObjectKeyBundle b;
-  b.data = engine_->NewSigningKeyPair();
-  b.meta = engine_->NewSigningKeyPair();
-  for (const ReplicaSpec& spec : specs) {
-    b.meks[spec.selector] = engine_->NewSymmetricKey();
-  }
-  if (info.type == fs::FileType::kFile) {
-    b.dek = engine_->NewSymmetricKey();
-  } else {
-    for (const ReplicaSpec& spec : specs) {
-      b.table_keys[spec.selector] = engine_->NewSymmetricKey();
-    }
-    b.table_keys[kMasterSelector] = engine_->NewSymmetricKey();
-  }
-  return b;
 }
 
 Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
@@ -775,36 +756,21 @@ Status SharoesClient::RenderDirTables(const WriterDirContext& ctx,
                                       std::vector<ssp::Request>* out) {
   std::vector<ReplicaSpec> specs =
       ReplicasFor(ctx.ownership, options_.scheme, *identity_);
-  std::vector<PendingSplitBlock> blocks;
+  SHAROES_ASSIGN_OR_RETURN(
+      std::vector<ssp::Request> tables,
+      codec_.TableSetPuts(ctx.node.ref.inode, ctx.ownership, specs,
+                          ctx.master, ctx.bundle));
+  // The set opens with one copy per spec, in spec order: find our own.
   size_t my_copy_size = 0;
-  std::vector<fs::UserId> my_universe;
   bool my_copy_full = false;
-  for (const ReplicaSpec& spec : specs) {
-    std::vector<fs::UserId> universe =
-        UniverseOf(ctx.ownership, spec.selector, options_.scheme, *identity_);
-    TableView view = spec.Fields(fs::FileType::kDirectory).table_view;
-    SHAROES_ASSIGN_OR_RETURN(
-        Bytes wire,
-        codec_.EncodeTableCopy(ctx.node.ref.inode, spec.selector, view,
-                               ctx.master, universe, ctx.bundle, &blocks));
-    if (spec.selector == ctx.node.ref.selector) {
-      my_copy_size = wire.size();
-      my_universe = universe;
-      my_copy_full = view == TableView::kFull;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].selector == ctx.node.ref.selector) {
+      my_copy_size = tables[i].payload.size();
+      my_copy_full = specs[i].Fields(fs::FileType::kDirectory).table_view ==
+                     TableView::kFull;
     }
-    out->push_back(ssp::Request::Put(
-        ssp::ObjectKey::Metadata(ctx.node.ref.inode,
-                                 TableSelector(spec.selector)),
-        std::move(wire)));
   }
-  out->push_back(ssp::Request::Put(
-      ssp::ObjectKey::Metadata(ctx.node.ref.inode,
-                               TableSelector(kMasterSelector)),
-      codec_.EncodeMasterTable(ctx.node.ref.inode, ctx.master, ctx.bundle)));
-  for (PendingSplitBlock& b : blocks) {
-    out->push_back(ssp::Request::Put(
-        ssp::ObjectKey::UserMetadata(b.child_inode, b.id), std::move(b.wire)));
-  }
+  AppendRequests(std::move(tables), out);
   // Refresh our cached view of this directory: stale copies out, the
   // updated master and our own freshly rendered copy in (the paper's
   // client keeps the table it just modified in memory).
@@ -816,7 +782,9 @@ Status SharoesClient::RenderDirTables(const WriterDirContext& ctx,
   cache_.Put(MasterCacheKey(ctx.node.ref.inode), ctx.master,
              ctx.master.Serialize().size());
   if (my_copy_full) {
-    auto decoded = codec_.RenderFullTableView(ctx.master, my_universe);
+    auto decoded = codec_.RenderFullTableView(
+        ctx.master, UniverseOf(ctx.ownership, ctx.node.ref.selector,
+                               options_.scheme, *identity_));
     if (decoded.ok()) {
       cache_.Put(TableCacheKey(ctx.node.ref.inode, ctx.node.ref.selector),
                  std::move(*decoded), my_copy_size);
@@ -853,47 +821,23 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
   OwnershipInfo info = OwnershipInfo::FromAttrs(attrs);
   std::vector<ReplicaSpec> specs =
       ReplicasFor(info, options_.scheme, *identity_);
-  ObjectKeyBundle bundle = GenerateBundle(info, specs);
+  ObjectKeyBundle bundle = codec_.GenerateBundle(type, specs);
 
   // Batch 1: the child's metadata replicas (and, for directories, its
-  // empty table copies) — the paper's "metadata send".
-  std::vector<ssp::Request> batch1;
-  for (const ReplicaSpec& spec : specs) {
-    batch1.push_back(ssp::Request::Put(
-        ssp::ObjectKey::Metadata(attrs.inode, spec.selector),
-        codec_.EncodeMetadataReplica(spec, attrs, bundle)));
-  }
+  // empty table set) — the paper's "metadata send".
+  std::vector<ssp::Request> batch1 =
+      codec_.MetadataReplicaPuts(specs, attrs, bundle);
   if (type == fs::FileType::kDirectory) {
-    MasterTable empty;
-    std::vector<PendingSplitBlock> blocks;
-    for (const ReplicaSpec& spec : specs) {
-      std::vector<fs::UserId> universe =
-          UniverseOf(info, spec.selector, options_.scheme, *identity_);
-      SHAROES_ASSIGN_OR_RETURN(
-          Bytes wire, codec_.EncodeTableCopy(
-                          attrs.inode, spec.selector,
-                          spec.Fields(type).table_view, empty, universe,
-                          bundle, &blocks));
-      batch1.push_back(ssp::Request::Put(
-          ssp::ObjectKey::Metadata(attrs.inode, TableSelector(spec.selector)),
-          std::move(wire)));
-    }
-    batch1.push_back(ssp::Request::Put(
-        ssp::ObjectKey::Metadata(attrs.inode, TableSelector(kMasterSelector)),
-        codec_.EncodeMasterTable(attrs.inode, empty, bundle)));
+    SHAROES_ASSIGN_OR_RETURN(
+        std::vector<ssp::Request> tables,
+        codec_.TableSetPuts(attrs.inode, info, specs, MasterTable{}, bundle));
+    AppendRequests(std::move(tables), &batch1);
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
 
   // Batch 2: the parent's updated tables — the paper's "parent-dir send".
-  MasterEntry entry;
-  entry.name = sp.name;
-  entry.inode = attrs.inode;
-  entry.child = info;
-  entry.mvk = bundle.meta.verify.Serialize();
-  for (const auto& [sel, mek] : bundle.meks) {
-    entry.meks[sel] = mek.Serialize();
-  }
-  SHAROES_RETURN_IF_ERROR(ctx.master.Add(std::move(entry)));
+  SHAROES_RETURN_IF_ERROR(
+      ctx.master.Add(MasterEntry::For(sp.name, attrs.inode, info, bundle)));
   std::vector<ssp::Request> batch2;
   SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch2));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
@@ -1000,25 +944,23 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
   // generation this client has observed for an inode must never move
   // backwards. An SSP serving a stale-but-validly-signed version is
   // caught here.
-  if (options_.track_freshness) {
-    auto it = freshness_.find(inode);
-    if (it != freshness_.end()) {
-      if (desc.write_gen < it->second.write_gen) {
-        return Status::Corruption(
-            "rollback detected: write generation regressed");
-      }
-      // Same generation but a different tag root is SSP equivocation:
-      // two distinct contents presented under one write generation.
-      if (desc.write_gen == it->second.write_gen &&
-          !it->second.tag_root.empty() &&
-          !ConstantTimeEquals(desc.tag_root, it->second.tag_root)) {
-        return Status::Corruption(
-            "rollback detected: different content presented at the same "
-            "write generation");
-      }
+  auto it = freshness_.find(inode);
+  if (it != freshness_.end()) {
+    if (desc.write_gen < it->second.write_gen) {
+      return Status::Corruption(
+          "rollback detected: write generation regressed");
     }
-    freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
+    // Same generation but a different tag root is SSP equivocation:
+    // two distinct contents presented under one write generation.
+    if (desc.write_gen == it->second.write_gen &&
+        !it->second.tag_root.empty() &&
+        !ConstantTimeEquals(desc.tag_root, it->second.tag_root)) {
+      return Status::Corruption(
+          "rollback detected: different content presented at the same "
+          "write generation");
+    }
   }
+  freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
 
   std::vector<Bytes> tail_tags;  // Merkle leaves: blocks 1..block_count-1.
   if (desc.block_count > 1) {
@@ -1103,7 +1045,7 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
 Result<Bytes> SharoesClient::Read(const std::string& path) {
   OpScope span(this, "Read");
   ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
   auto buf_it = write_buffers_.find(norm);
   if (buf_it != write_buffers_.end()) return buf_it->second.content;
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path, ReadIntent::kData));
@@ -1120,7 +1062,7 @@ Status SharoesClient::Write(const std::string& path, const Bytes& content) {
   OpScope span(this, "Write");
   // Buffers key by the canonical spelling: "/a//b/" and "/a/b" are the
   // same file and must hit the same dirty buffer.
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
   auto it = write_buffers_.find(norm);
   if (it != write_buffers_.end()) {
     it->second.content = content;
@@ -1160,13 +1102,8 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   const Bytes& content = buf->content;
   size_t block_size = options_.block_size;
   fs::InodeNum inode = buf->inode;
-  DataDescriptor desc;
-  desc.size = content.size();
-  size_t chunk0 = std::min(content.size(), block_size);
-  size_t rest = content.size() - chunk0;
-  desc.block_count =
-      1 + static_cast<uint32_t>((rest + block_size - 1) / block_size);
-  SHAROES_ASSIGN_OR_RETURN(desc.write_gen, NextWriteGen(inode));
+  uint32_t block_count = ObjectCodec::BlockCount(content.size(), block_size);
+  SHAROES_ASSIGN_OR_RETURN(uint64_t write_gen, NextWriteGen(inode));
 
   // The paper divides files into blocks precisely so a write does not
   // re-encrypt the whole file (§II-B). When the previous version is in
@@ -1182,90 +1119,47 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
     }
   }
   // Diff only when the file did not shrink and keys did not rotate.
-  bool diff = have_old && !key_rotated &&
-              desc.block_count >= old_desc.block_count;
-
-  auto chunk_of = [&](uint32_t idx) {
-    size_t begin = idx == 0 ? 0 : chunk0 + (idx - 1) * block_size;
-    size_t end = std::min(content.size(),
-                          idx == 0 ? chunk0 : begin + block_size);
-    return Bytes(content.begin() + begin, content.begin() + end);
-  };
-  auto old_chunk_of = [&](uint32_t idx) -> std::optional<Bytes> {
-    auto cached = cache_.Get<Bytes>(DataCacheKey(inode, idx));
-    if (cached == nullptr) return std::nullopt;
-    if (idx == 0) {
-      BinaryReader r(*cached);
-      if (!DataDescriptor::ReadFrom(&r).ok()) return std::nullopt;
-      return r.GetRaw(r.remaining());
-    }
-    return *cached;
-  };
-
-  desc.block_gens.assign(desc.block_count, desc.write_gen);
-  std::vector<bool> changed(desc.block_count, true);
-  std::vector<Bytes> tail_tags(desc.block_count - 1);
+  bool diff = have_old && !key_rotated && block_count >= old_desc.block_count;
+  std::map<uint32_t, ObjectCodec::KeptBlock> kept;
   if (diff) {
-    for (uint32_t i = 1; i < desc.block_count; ++i) {
-      if (i >= old_desc.block_count) continue;  // Appended block: new.
-      auto old_chunk = old_chunk_of(i);
+    for (uint32_t i = 1; i < old_desc.block_count; ++i) {
       // Keeping a block also requires its cached AEAD tag: the new
       // descriptor's root must commit to every tail block, kept or
       // rewritten, and an uncached tag would force a read to learn it.
+      auto old_chunk = cache_.Get<Bytes>(DataCacheKey(inode, i));
       auto old_tag = cache_.Get<Bytes>(TagCacheKey(inode, i));
-      if (old_chunk.has_value() && old_tag != nullptr &&
-          *old_chunk == chunk_of(i)) {
-        changed[i] = false;
-        desc.block_gens[i] = old_desc.GenOfBlock(i);
-        tail_tags[i - 1] = *old_tag;
+      if (old_chunk != nullptr && old_tag != nullptr &&
+          *old_chunk == ObjectCodec::BlockChunk(content, block_size, i)) {
+        kept[i] = ObjectCodec::KeptBlock{*old_tag, old_desc.GenOfBlock(i)};
       }
     }
   }
 
+  ObjectCodec::FileBlockSet set = codec_.FileBlockPuts(
+      inode, content, block_size, {key_gen, write_gen}, dek, *node.view.dsk,
+      kept);
+  // Without a diff basis the stored shape may shrink: clear stale blocks
+  // first. A diffed write only grows or keeps the block count.
   std::vector<ssp::Request> puts;
-  if (!diff || desc.block_count != old_desc.block_count) {
-    // Shape changed (or no diff basis): clear stale blocks first when
-    // shrinking; growth needs no delete.
-    if (!diff) {
-      puts.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData,
-                                               inode));
-    }
+  if (!diff) {
+    puts.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData,
+                                             inode));
   }
-  // Tail blocks encode first: their AEAD tags are the Merkle leaves the
-  // descriptor inside block 0 must commit to.
-  std::vector<Bytes> tail_wires(desc.block_count);
-  for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
-    if (!changed[idx]) continue;
-    Bytes chunk = chunk_of(idx);
-    ObjectCodec::DataBlockHeader header{key_gen, desc.write_gen};
-    Bytes tag;
-    tail_wires[idx] = codec_.EncodeDataBlock(inode, idx, header, chunk, dek,
-                                             *node.view.dsk, &tag);
-    cache_.Put(DataCacheKey(inode, idx), chunk, tail_wires[idx].size());
-    cache_.Put(TagCacheKey(inode, idx), tag, tag.size());
-    tail_tags[idx - 1] = std::move(tag);
+  // Cache what was written: each rewritten tail block with its tag, then
+  // block 0 (the set's first put).
+  size_t next_put = 1;
+  for (uint32_t idx = 1; idx < block_count; ++idx) {
+    if (kept.count(idx) != 0) continue;
+    cache_.Put(DataCacheKey(inode, idx),
+               ObjectCodec::BlockChunk(content, block_size, idx),
+               set.puts[next_put++].payload.size());
+    cache_.Put(TagCacheKey(inode, idx), set.tail_tags[idx - 1],
+               set.tail_tags[idx - 1].size());
   }
-  desc.tag_root = crypto::MerkleRoot(tail_tags);
-  // Block 0 encodes last: it carries the descriptor, whose root now
-  // covers the tail tags above.
-  BinaryWriter w0;
-  desc.AppendTo(&w0);
-  w0.PutRaw(content.data(), chunk0);
-  Bytes plain0 = w0.Take();
-  ObjectCodec::DataBlockHeader header0{key_gen, desc.write_gen};
-  Bytes wire0 = codec_.EncodeDataBlock(inode, 0, header0, plain0, dek,
-                                       *node.view.dsk);
-  cache_.Put(DataCacheKey(inode, 0), plain0, wire0.size());
-  puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(inode, 0),
-                                   std::move(wire0)));
-  for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
-    if (changed[idx]) {
-      puts.push_back(ssp::Request::Put(ssp::ObjectKey::Data(inode, idx),
-                                       std::move(tail_wires[idx])));
-    }
-  }
+  cache_.Put(DataCacheKey(inode, 0), set.plain0, set.puts[0].payload.size());
+  AppendRequests(std::move(set.puts), &puts);
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(puts)));
-  freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
+  freshness_[inode] = FreshnessRecord{write_gen, set.desc.tag_root};
   return Status::OK();
 }
 
@@ -1292,7 +1186,7 @@ Result<uint64_t> SharoesClient::NextWriteGen(fs::InodeNum inode) {
 Status SharoesClient::Close(const std::string& path) {
   OpScope span(this, "Close");
   ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
   auto it = write_buffers_.find(norm);
   Status s = Status::OK();
   if (it != write_buffers_.end()) {
@@ -1375,45 +1269,14 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
       if (lost_write) bundle.data = engine_->NewSigningKeyPair();
       dek_gen += 1;
       dek_next.reset();
-      DataDescriptor desc;
-      desc.size = content.size();
-      size_t bs = options_.block_size;
-      size_t chunk0 = std::min(content.size(), bs);
-      desc.block_count = 1 + static_cast<uint32_t>(
-                                 (content.size() - chunk0 + bs - 1) / bs);
-      SHAROES_ASSIGN_OR_RETURN(desc.write_gen, NextWriteGen(attrs.inode));
-      desc.block_gens.assign(desc.block_count, desc.write_gen);
-      ObjectCodec::DataBlockHeader header{dek_gen, desc.write_gen};
-      // Tail blocks encode first so their AEAD tags can root the
-      // descriptor that block 0 carries.
-      std::vector<Bytes> tail_wires;
-      std::vector<Bytes> tail_tags;
-      for (size_t pos = chunk0; pos < content.size(); pos += bs) {
-        size_t n = std::min(bs, content.size() - pos);
-        Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-        Bytes tag;
-        tail_wires.push_back(codec_.EncodeDataBlock(
-            attrs.inode, static_cast<uint32_t>(tail_wires.size()) + 1,
-            header, chunk, bundle.dek, bundle.data.sign, &tag));
-        tail_tags.push_back(std::move(tag));
-      }
-      desc.tag_root = crypto::MerkleRoot(tail_tags);
-      freshness_[attrs.inode] =
-          FreshnessRecord{desc.write_gen, desc.tag_root};
+      SHAROES_ASSIGN_OR_RETURN(uint64_t write_gen, NextWriteGen(attrs.inode));
+      ObjectCodec::FileBlockSet set = codec_.FileBlockPuts(
+          attrs.inode, content, options_.block_size, {dek_gen, write_gen},
+          bundle.dek, bundle.data.sign);
+      freshness_[attrs.inode] = FreshnessRecord{write_gen, set.desc.tag_root};
       batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData,
                                                 attrs.inode));
-      BinaryWriter w0;
-      desc.AppendTo(&w0);
-      w0.PutRaw(content.data(), chunk0);
-      batch.push_back(ssp::Request::Put(
-          ssp::ObjectKey::Data(attrs.inode, 0),
-          codec_.EncodeDataBlock(attrs.inode, 0, header, w0.Take(), bundle.dek,
-                                 bundle.data.sign)));
-      for (size_t i = 0; i < tail_wires.size(); ++i) {
-        batch.push_back(ssp::Request::Put(
-            ssp::ObjectKey::Data(attrs.inode, static_cast<uint32_t>(i) + 1),
-            std::move(tail_wires[i])));
-      }
+      AppendRequests(std::move(set.puts), &batch);
     } else if (!dek_next.has_value()) {
       // Lazy: record the next key; the next writer rotates.
       dek_next = engine_->NewSymmetricKey();
@@ -1430,12 +1293,9 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
 
   // Rebuild every metadata replica with the new mode (selectors and MEKs
   // are class-stable, so parent rows and superblocks stay valid).
-  for (const ReplicaSpec& spec : new_specs) {
-    batch.push_back(ssp::Request::Put(
-        ssp::ObjectKey::Metadata(attrs.inode, spec.selector),
-        codec_.EncodeMetadataReplica(spec, new_attrs, bundle, dek_gen,
-                                     dek_next)));
-  }
+  AppendRequests(codec_.MetadataReplicaPuts(new_specs, new_attrs, bundle,
+                                            dek_gen, dek_next),
+                 &batch);
   // Directories: re-render the tables (view kinds / keys may have changed).
   if (attrs.type == fs::FileType::kDirectory) {
     WriterDirContext ctx;
@@ -1498,7 +1358,7 @@ Status SharoesClient::RemoveObject(const std::string& path,
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   InvalidateInode(child_inode);
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
+  SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
   write_buffers_.erase(norm);
   return Status::OK();
 }
@@ -1511,11 +1371,10 @@ Status SharoesClient::Rename(const std::string& from,
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent dst, fs::SplitParentName(to));
   // Compare canonical spellings: "/a//b" and "/a/b" are the same path, and
   // the prefix test below only works on canonical forms.
-  SHAROES_ASSIGN_OR_RETURN(std::string nfrom, NormalizePath(from));
-  SHAROES_ASSIGN_OR_RETURN(std::string nto, NormalizePath(to));
+  SHAROES_ASSIGN_OR_RETURN(std::string nfrom, fs::NormalizePath(from));
+  SHAROES_ASSIGN_OR_RETURN(std::string nto, fs::NormalizePath(to));
   // Moving a directory under itself would orphan the subtree.
-  if (nto.size() > nfrom.size() && nto.compare(0, nfrom.size(), nfrom) == 0 &&
-      nto[nfrom.size()] == '/') {
+  if (fs::IsBelow(nto, nfrom)) {
     return Status::InvalidArgument("cannot move a directory into itself");
   }
   if (nfrom == nto) return Status::OK();
@@ -1559,24 +1418,7 @@ Status SharoesClient::Rename(const std::string& from,
   // directory moves, every buffered file underneath it (their old paths
   // no longer resolve, so a stranded buffer would flush into NotFound or,
   // worse, a recreated file at the old path).
-  std::vector<std::pair<std::string, WriteBuffer>> moved_bufs;
-  for (auto it = write_buffers_.begin(); it != write_buffers_.end();) {
-    const std::string& key = it->first;
-    bool exact = key == nfrom;
-    bool under = key.size() > nfrom.size() &&
-                 key.compare(0, nfrom.size(), nfrom) == 0 &&
-                 key[nfrom.size()] == '/';
-    if (exact || under) {
-      moved_bufs.emplace_back(nto + key.substr(nfrom.size()),
-                              std::move(it->second));
-      it = write_buffers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto& [new_key, buf] : moved_bufs) {
-    write_buffers_[new_key] = std::move(buf);
-  }
+  fs::RekeySubtree(&write_buffers_, nfrom, nto);
   return Status::OK();
 }
 

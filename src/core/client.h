@@ -43,10 +43,6 @@ struct ClientOptions {
   fs::GroupId default_group = fs::kInvalidGroup;
   /// Fixed per-operation client handling cost ("OTHER" in Figure 13).
   double client_overhead_ms = 5.0;
-  /// SUNDR-style freshness tracking (paper §VIII future work): reject
-  /// reads whose write generation regresses below what this client has
-  /// already observed for the inode.
-  bool track_freshness = true;
   /// Batched read path (DESIGN.md §11): ResolvePath coalesces each
   /// level's metadata + table fetch into one kBatch round trip, and
   /// FetchFileContent fetches data blocks in readahead windows. Off =
@@ -234,9 +230,6 @@ class SharoesClient : public FsClient {
   Result<GroupSecret> FetchGroupSecret(fs::GroupId gid);
 
   // --- Mutation helpers ---
-  /// Generates a full key bundle for a new object.
-  ObjectKeyBundle GenerateBundle(const OwnershipInfo& info,
-                                 const std::vector<ReplicaSpec>& specs);
   /// Common mkdir/create implementation.
   Status CreateObject(const std::string& path, fs::FileType type,
                       const CreateOptions& opts);
@@ -303,9 +296,6 @@ class SharoesClient : public FsClient {
   /// Every SSP exchange funnels through here: one Call = one round trip,
   /// counted per-instance and into "client.rpc.round_trips".
   Result<ssp::Response> Rpc(const ssp::Request& req);
-  /// Canonical spelling for write-buffer keys and subtree-prefix logic:
-  /// "/a//b/" and "/a/b" must address the same dirty buffer.
-  static Result<std::string> NormalizePath(const std::string& path);
   /// Initial data window batched with a cold file's first fetch (before
   /// the descriptor — and thus the block count — is known).
   uint32_t InitialWindowBlocks() const;

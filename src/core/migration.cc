@@ -1,6 +1,5 @@
 #include "core/migration.h"
 
-#include "crypto/merkle.h"
 #include "ssp/wal.h"
 
 namespace sharoes::core {
@@ -85,10 +84,6 @@ Status Provisioner::RemoveGroupMember(fs::GroupId gid, fs::UserId uid) {
   return Status::OK();
 }
 
-void Provisioner::Store(uint64_t bytes, MigrationStats* stats) {
-  if (stats != nullptr) stats->bytes_transferred += bytes;
-}
-
 Status Provisioner::Put(ssp::Request req) {
   if (channel_ != nullptr) {
     SHAROES_ASSIGN_OR_RETURN(ssp::Response resp, channel_->Call(req));
@@ -104,6 +99,15 @@ Status Provisioner::Put(ssp::Request req) {
   }
   // Local provisioning applies through the server's own apply path.
   return ssp::ApplyWalOp(req, &server_->store());
+}
+
+Status Provisioner::PutAll(std::vector<ssp::Request> puts,
+                           MigrationStats* stats) {
+  for (ssp::Request& req : puts) {
+    stats->bytes_transferred += req.payload.size();
+    SHAROES_RETURN_IF_ERROR(Put(std::move(req)));
+  }
+  return Status::OK();
 }
 
 Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
@@ -128,22 +132,9 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
   std::vector<ReplicaSpec> specs =
       ReplicasFor(info, options_.scheme, *identity_);
 
-  // Generate the object's key material.
   MigratedObject obj;
   obj.attrs = attrs;
-  obj.bundle.data = engine_->NewSigningKeyPair();
-  obj.bundle.meta = engine_->NewSigningKeyPair();
-  for (const ReplicaSpec& s : specs) {
-    obj.bundle.meks[s.selector] = engine_->NewSymmetricKey();
-  }
-  if (spec.type == fs::FileType::kFile) {
-    obj.bundle.dek = engine_->NewSymmetricKey();
-  } else {
-    for (const ReplicaSpec& s : specs) {
-      obj.bundle.table_keys[s.selector] = engine_->NewSymmetricKey();
-    }
-    obj.bundle.table_keys[kMasterSelector] = engine_->NewSymmetricKey();
-  }
+  obj.bundle = codec_.GenerateBundle(spec.type, specs);
 
   // Recurse into children first (a directory's tables need their MEKs).
   MasterTable master;
@@ -154,100 +145,33 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
           MigratedObject child,
           MigrateNode(child_spec, path + "/" + child_spec.name, child_inode,
                       stats));
-      MasterEntry entry;
-      entry.name = child_spec.name;
-      entry.inode = child_inode;
-      entry.child = OwnershipInfo::FromAttrs(child.attrs);
-      entry.mvk = child.bundle.meta.verify.Serialize();
-      for (const auto& [sel, mek] : child.bundle.meks) {
-        entry.meks[sel] = mek.Serialize();
-      }
-      SHAROES_RETURN_IF_ERROR(master.Add(std::move(entry)));
+      SHAROES_RETURN_IF_ERROR(master.Add(MasterEntry::For(
+          child_spec.name, child_inode,
+          OwnershipInfo::FromAttrs(child.attrs), child.bundle)));
     }
   }
 
-  // Metadata replicas.
-  for (const ReplicaSpec& s : specs) {
-    Bytes wire = codec_.EncodeMetadataReplica(s, attrs, obj.bundle);
-    Store(wire.size(), stats);
-    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
-        ssp::ObjectKey::Metadata(inode, s.selector), std::move(wire))));
-    ++stats->metadata_replicas;
-  }
-
+  stats->metadata_replicas += specs.size();
+  SHAROES_RETURN_IF_ERROR(
+      PutAll(codec_.MetadataReplicaPuts(specs, attrs, obj.bundle), stats));
   if (spec.type == fs::FileType::kDirectory) {
     ++stats->directories;
-    std::vector<PendingSplitBlock> blocks;
-    for (const ReplicaSpec& s : specs) {
-      std::vector<fs::UserId> universe =
-          UniverseOf(info, s.selector, options_.scheme, *identity_);
-      SHAROES_ASSIGN_OR_RETURN(
-          Bytes wire,
-          codec_.EncodeTableCopy(inode, s.selector,
-                                 s.Fields(spec.type).table_view, master,
-                                 universe, obj.bundle, &blocks));
-      Store(wire.size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
-          ssp::ObjectKey::Metadata(inode, TableSelector(s.selector)),
-          std::move(wire))));
-      ++stats->table_copies;
-    }
-    Bytes master_wire = codec_.EncodeMasterTable(inode, master, obj.bundle);
-    Store(master_wire.size(), stats);
-    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
-        ssp::ObjectKey::Metadata(inode, TableSelector(kMasterSelector)),
-        std::move(master_wire))));
-    for (PendingSplitBlock& b : blocks) {
-      Store(b.wire.size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
-          ssp::ObjectKey::UserMetadata(b.child_inode, b.id),
-          std::move(b.wire))));
-      ++stats->split_blocks;
-    }
+    SHAROES_ASSIGN_OR_RETURN(
+        std::vector<ssp::Request> tables,
+        codec_.TableSetPuts(inode, info, specs, master, obj.bundle));
+    // The set is the copies, the master, then the split blocks.
+    stats->table_copies += specs.size();
+    stats->split_blocks += tables.size() - specs.size() - 1;
+    SHAROES_RETURN_IF_ERROR(PutAll(std::move(tables), stats));
   } else {
     ++stats->files;
-    // Data blocks: descriptor prefix in block 0.
-    const Bytes& content = spec.content;
-    size_t bs = options_.block_size;
-    DataDescriptor desc;
-    desc.size = content.size();
-    size_t chunk0 = std::min(content.size(), bs);
-    desc.block_count =
-        1 + static_cast<uint32_t>((content.size() - chunk0 + bs - 1) / bs);
-    desc.write_gen = 1;  // Migration is the first write.
-    desc.block_gens.assign(desc.block_count, 1);
-    ObjectCodec::DataBlockHeader header{0, desc.write_gen};
-    // Tail blocks encode first: their AEAD tags root the descriptor
-    // that block 0 carries.
-    std::vector<Bytes> tail_wires;
-    std::vector<Bytes> tail_tags;
-    for (size_t pos = chunk0; pos < content.size(); pos += bs) {
-      size_t n = std::min(bs, content.size() - pos);
-      Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-      Bytes tag;
-      tail_wires.push_back(codec_.EncodeDataBlock(
-          inode, static_cast<uint32_t>(tail_wires.size()) + 1, header,
-          chunk, obj.bundle.dek, obj.bundle.data.sign, &tag));
-      tail_tags.push_back(std::move(tag));
-    }
-    desc.tag_root = crypto::MerkleRoot(tail_tags);
-    BinaryWriter w0;
-    desc.AppendTo(&w0);
-    w0.PutRaw(content.data(), chunk0);
-    Bytes wire0 = codec_.EncodeDataBlock(inode, 0, header, w0.Take(),
-                                         obj.bundle.dek,
-                                         obj.bundle.data.sign);
-    Store(wire0.size(), stats);
-    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
-        ssp::ObjectKey::Data(inode, 0), std::move(wire0))));
-    ++stats->data_blocks;
-    for (size_t i = 0; i < tail_wires.size(); ++i) {
-      Store(tail_wires[i].size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::Put(
-          ssp::ObjectKey::Data(inode, static_cast<uint32_t>(i) + 1),
-          std::move(tail_wires[i]))));
-      ++stats->data_blocks;
-    }
+    // Migration is the file's first write: key generation 0, write
+    // generation 1.
+    ObjectCodec::FileBlockSet blocks = codec_.FileBlockPuts(
+        inode, spec.content, options_.block_size, {0, 1}, obj.bundle.dek,
+        obj.bundle.data.sign);
+    stats->data_blocks += blocks.puts.size();
+    SHAROES_RETURN_IF_ERROR(PutAll(std::move(blocks.puts), stats));
   }
   return obj;
 }

@@ -10,8 +10,13 @@
 //   * writes group key blocks (group private key wrapped to each member),
 //   * initializes the filesystem root and per-user superblocks,
 //   * migrates an in-memory local tree (ownership, modes, ACLs, contents)
-//     into the SSP with exactly the same layout a SharoesClient produces,
+//     into the SSP,
 //   * rotates group keys on membership revocation.
+//
+// Every object is rendered by ObjectCodec's set-level methods (key
+// bundle, metadata replicas, table set, file block set), the same ones
+// SharoesClient writes through, so a migrated object has exactly the
+// layout a client-created one has.
 //
 // Bulk transfer happens on the provisioning path (the paper's transition
 // phase), so it writes to the SSP store directly and reports byte counts
@@ -140,9 +145,10 @@ class Provisioner {
                                      fs::InodeNum inode,
                                      MigrationStats* stats);
   Status WriteSuperblocks(const MigratedObject& root);
-  void Store(uint64_t bytes, MigrationStats* stats);
-  /// Store-or-channel write helpers.
+  /// Store-or-channel write of one request (one Put each, also remotely).
   Status Put(ssp::Request req);
+  /// Puts a rendered object set in order, counting its bytes.
+  Status PutAll(std::vector<ssp::Request> puts, MigrationStats* stats);
 
   IdentityDirectory* identity_;
   ssp::SspServer* server_;        // May be null when provisioning remotely.

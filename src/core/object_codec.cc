@@ -2,6 +2,7 @@
 
 #include "crypto/aead.h"
 #include "crypto/kdf.h"
+#include "crypto/merkle.h"
 #include "obs/span.h"
 
 namespace sharoes::core {
@@ -506,6 +507,119 @@ Result<GroupSecret> ObjectCodec::DecodeGroupKeyBlock(
   SHAROES_ASSIGN_OR_RETURN(Bytes plain,
                            engine_->PkDecrypt(member_priv, wire));
   return GroupSecret::Deserialize(plain);
+}
+
+// ----- Object sets -----
+
+ObjectKeyBundle ObjectCodec::GenerateBundle(
+    fs::FileType type, const std::vector<ReplicaSpec>& specs) {
+  ObjectKeyBundle b;
+  b.data = engine_->NewSigningKeyPair();
+  b.meta = engine_->NewSigningKeyPair();
+  for (const ReplicaSpec& spec : specs) {
+    b.meks[spec.selector] = engine_->NewSymmetricKey();
+  }
+  if (type == fs::FileType::kFile) {
+    b.dek = engine_->NewSymmetricKey();
+  } else {
+    for (const ReplicaSpec& spec : specs) {
+      b.table_keys[spec.selector] = engine_->NewSymmetricKey();
+    }
+    b.table_keys[kMasterSelector] = engine_->NewSymmetricKey();
+  }
+  return b;
+}
+
+std::vector<ssp::Request> ObjectCodec::MetadataReplicaPuts(
+    const std::vector<ReplicaSpec>& specs, const fs::InodeAttrs& attrs,
+    const ObjectKeyBundle& bundle, uint32_t dek_gen,
+    const std::optional<crypto::SymmetricKey>& dek_next) {
+  std::vector<ssp::Request> puts;
+  puts.reserve(specs.size());
+  for (const ReplicaSpec& spec : specs) {
+    puts.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(attrs.inode, spec.selector),
+        EncodeMetadataReplica(spec, attrs, bundle, dek_gen, dek_next)));
+  }
+  return puts;
+}
+
+Result<std::vector<ssp::Request>> ObjectCodec::TableSetPuts(
+    fs::InodeNum dir_inode, const OwnershipInfo& info,
+    const std::vector<ReplicaSpec>& specs, const MasterTable& master,
+    const ObjectKeyBundle& bundle) {
+  std::vector<ssp::Request> puts;
+  std::vector<PendingSplitBlock> blocks;
+  for (const ReplicaSpec& spec : specs) {
+    std::vector<fs::UserId> universe =
+        UniverseOf(info, spec.selector, scheme_, *dir_);
+    SHAROES_ASSIGN_OR_RETURN(
+        Bytes wire,
+        EncodeTableCopy(dir_inode, spec.selector,
+                        spec.Fields(fs::FileType::kDirectory).table_view,
+                        master, universe, bundle, &blocks));
+    puts.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Metadata(dir_inode, TableSelector(spec.selector)),
+        std::move(wire)));
+  }
+  puts.push_back(ssp::Request::Put(
+      ssp::ObjectKey::Metadata(dir_inode, TableSelector(kMasterSelector)),
+      EncodeMasterTable(dir_inode, master, bundle)));
+  for (PendingSplitBlock& b : blocks) {
+    puts.push_back(ssp::Request::Put(
+        ssp::ObjectKey::UserMetadata(b.child_inode, b.id), std::move(b.wire)));
+  }
+  return puts;
+}
+
+uint32_t ObjectCodec::BlockCount(size_t size, size_t block_size) {
+  return size <= block_size
+             ? 1
+             : static_cast<uint32_t>((size + block_size - 1) / block_size);
+}
+
+Bytes ObjectCodec::BlockChunk(const Bytes& content, size_t block_size,
+                              uint32_t block) {
+  size_t begin = std::min(content.size(), block * block_size);
+  size_t end = std::min(content.size(), begin + block_size);
+  return Bytes(content.begin() + begin, content.begin() + end);
+}
+
+ObjectCodec::FileBlockSet ObjectCodec::FileBlockPuts(
+    fs::InodeNum inode, const Bytes& content, size_t block_size,
+    const DataBlockHeader& header, const crypto::SymmetricKey& dek,
+    const crypto::SigningKey& dsk, const std::map<uint32_t, KeptBlock>& kept) {
+  FileBlockSet set;
+  DataDescriptor& desc = set.desc;
+  desc.size = content.size();
+  desc.block_count = BlockCount(content.size(), block_size);
+  desc.write_gen = header.write_gen;
+  desc.block_gens.assign(desc.block_count, header.write_gen);
+  set.tail_tags.resize(desc.block_count - 1);
+  std::vector<ssp::Request> tails;
+  for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
+    auto it = kept.find(idx);
+    if (it != kept.end()) {
+      desc.block_gens[idx] = it->second.write_gen;
+      set.tail_tags[idx - 1] = it->second.tag;
+      continue;
+    }
+    tails.push_back(ssp::Request::Put(
+        ssp::ObjectKey::Data(inode, idx),
+        EncodeDataBlock(inode, idx, header,
+                        BlockChunk(content, block_size, idx), dek, dsk,
+                        &set.tail_tags[idx - 1])));
+  }
+  desc.tag_root = crypto::MerkleRoot(set.tail_tags);
+  BinaryWriter w0;
+  desc.AppendTo(&w0);
+  w0.PutRaw(BlockChunk(content, block_size, 0));
+  set.plain0 = w0.Take();
+  set.puts.push_back(ssp::Request::Put(
+      ssp::ObjectKey::Data(inode, 0),
+      EncodeDataBlock(inode, 0, header, set.plain0, dek, dsk)));
+  for (ssp::Request& tail : tails) set.puts.push_back(std::move(tail));
+  return set;
 }
 
 }  // namespace sharoes::core

@@ -12,6 +12,12 @@
 //
 // Signatures bind the object identity (kind, inode, selector/block) so a
 // malicious SSP cannot swap blobs between locations.
+//
+// The set-level renderers (GenerateBundle, MetadataReplicaPuts,
+// TableSetPuts, FileBlockPuts) are the one definition of the stored
+// layout: the provisioner and the client both write objects through
+// them, so a migrated tree and a client-built one are byte-identical
+// for the same key and nonce draws.
 
 #ifndef SHAROES_CORE_OBJECT_CODEC_H_
 #define SHAROES_CORE_OBJECT_CODEC_H_
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "core/refs.h"
+#include "ssp/message.h"
 
 namespace sharoes::core {
 
@@ -179,6 +186,60 @@ class ObjectCodec {
                                     const GroupSecret& secret);
   Result<GroupSecret> DecodeGroupKeyBlock(
       const crypto::RsaPrivateKey& member_priv, const Bytes& wire);
+
+  // ----- Object sets: the stored layout -----
+
+  /// Draws a new object's key bundle: the DSK and MSK pairs, one MEK per
+  /// replica, then the DEK (files) or one table key per replica plus the
+  /// master's (directories). The draw order is part of the layout.
+  ObjectKeyBundle GenerateBundle(fs::FileType type,
+                                 const std::vector<ReplicaSpec>& specs);
+
+  /// One sealed metadata replica per spec, in spec order.
+  std::vector<ssp::Request> MetadataReplicaPuts(
+      const std::vector<ReplicaSpec>& specs, const fs::InodeAttrs& attrs,
+      const ObjectKeyBundle& bundle, uint32_t dek_gen = 0,
+      const std::optional<crypto::SymmetricKey>& dek_next = std::nullopt);
+
+  /// A directory's table set: one copy per spec (in spec order, rendered
+  /// in the spec's TableView for its reader universe), then the master,
+  /// then the split blocks the copies' rows asked for.
+  Result<std::vector<ssp::Request>> TableSetPuts(
+      fs::InodeNum dir_inode, const OwnershipInfo& info,
+      const std::vector<ReplicaSpec>& specs, const MasterTable& master,
+      const ObjectKeyBundle& bundle);
+
+  /// A tail block a rewrite keeps as stored: its AEAD tag (the Merkle
+  /// leaf) and the write generation it was sealed at.
+  struct KeptBlock {
+    Bytes tag;
+    uint64_t write_gen = 0;
+  };
+  /// A file's rendered block set.
+  struct FileBlockSet {
+    DataDescriptor desc;
+    /// Block 0's plaintext: the descriptor, then the first chunk.
+    Bytes plain0;
+    /// The AEAD tag of every tail block 1..block_count-1, kept or not.
+    std::vector<Bytes> tail_tags;
+    /// Block 0, then every tail block not kept, in block order.
+    std::vector<ssp::Request> puts;
+  };
+  /// Renders `content` as data blocks under `header`. Tail blocks seal
+  /// first, since their tags root the descriptor block 0 carries; block 0
+  /// seals last. Blocks in `kept` are not rewritten: their tag and
+  /// generation go into the descriptor as given.
+  FileBlockSet FileBlockPuts(fs::InodeNum inode, const Bytes& content,
+                             size_t block_size, const DataBlockHeader& header,
+                             const crypto::SymmetricKey& dek,
+                             const crypto::SigningKey& dsk,
+                             const std::map<uint32_t, KeptBlock>& kept = {});
+  /// The number of blocks a file of `size` bytes occupies (at least one:
+  /// block 0 carries the descriptor even for an empty file).
+  static uint32_t BlockCount(size_t size, size_t block_size);
+  /// The slice of `content` that block `block` stores.
+  static Bytes BlockChunk(const Bytes& content, size_t block_size,
+                          uint32_t block);
 
   crypto::CryptoEngine* engine() { return engine_; }
   Scheme scheme() const { return scheme_; }

@@ -202,6 +202,18 @@ Result<ObjectKeyBundle> MetadataView::ToBundle() const {
   return b;
 }
 
+MasterEntry MasterEntry::For(std::string name, fs::InodeNum inode,
+                             const OwnershipInfo& child,
+                             const ObjectKeyBundle& bundle) {
+  MasterEntry e;
+  e.name = std::move(name);
+  e.inode = inode;
+  e.child = child;
+  e.mvk = bundle.meta.verify.Serialize();
+  for (const auto& [sel, mek] : bundle.meks) e.meks[sel] = mek.Serialize();
+  return e;
+}
+
 void MasterEntry::AppendTo(BinaryWriter* w) const {
   w->PutString(name);
   w->PutU64(inode);

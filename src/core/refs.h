@@ -105,6 +105,11 @@ struct MasterEntry {
   Bytes mvk;  // Serialized VerifyKey of the child.
   std::map<Selector, Bytes> meks;  // Serialized MEK per child replica.
 
+  /// The row naming a child whose key bundle is `bundle`.
+  static MasterEntry For(std::string name, fs::InodeNum inode,
+                         const OwnershipInfo& child,
+                         const ObjectKeyBundle& bundle);
+
   void AppendTo(BinaryWriter* w) const;
   static Result<MasterEntry> ReadFrom(BinaryReader* r);
 };

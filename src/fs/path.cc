@@ -37,6 +37,16 @@ std::string JoinPath(const std::vector<std::string>& components) {
   return out;
 }
 
+Result<std::string> NormalizePath(std::string_view path) {
+  SHAROES_ASSIGN_OR_RETURN(std::vector<std::string> comps, SplitPath(path));
+  return JoinPath(comps);
+}
+
+bool IsBelow(std::string_view path, std::string_view dir) {
+  return path.size() > dir.size() && path.substr(0, dir.size()) == dir &&
+         path[dir.size()] == '/';
+}
+
 Result<SplitParent> SplitParentName(std::string_view path) {
   SHAROES_ASSIGN_OR_RETURN(std::vector<std::string> comps, SplitPath(path));
   if (comps.empty()) {

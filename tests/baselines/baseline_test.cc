@@ -156,6 +156,28 @@ TEST_P(BaselineModeTest, ChmodByOwnerChangesAttrs) {
   EXPECT_FALSE(other.Read("/docs/a.txt").ok());
 }
 
+TEST_P(BaselineModeTest, WriteBuffersKeyByCanonicalPath) {
+  BaselineWorld world(GetParam());
+  BaselineClient client = world.MakeClient(kUser);
+  ASSERT_TRUE(client.Mount().ok());
+  // An alias spelling writes, the canonical one closes: one buffer.
+  ASSERT_TRUE(client.Write("/docs//a.txt", ToBytes("aliased")).ok());
+  ASSERT_TRUE(client.Close("/docs/a.txt").ok());
+  // A dirty buffer under a renamed directory follows the directory.
+  ASSERT_TRUE(client.Write("/docs/private.txt", ToBytes("moved")).ok());
+  ASSERT_TRUE(client.Rename("/docs", "/papers").ok());
+  ASSERT_TRUE(client.Close("/papers/private.txt").ok());
+
+  BaselineClient fresh = world.MakeClient(kUser);
+  ASSERT_TRUE(fresh.Mount().ok());
+  auto a = fresh.Read("/papers/a.txt");
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_EQ(ToString(*a), "aliased");
+  auto p = fresh.Read("/papers/private.txt");
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(ToString(*p), "moved");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, BaselineModeTest,
                          ::testing::Values(SecurityMode::kNoEncMdD,
                                            SecurityMode::kNoEncMd,
