@@ -227,42 +227,13 @@ Status SharoesClient::Mount() {
       ssp::Response resp,
       Rpc(ssp::Request::Get(ssp::ObjectKey::Superblock(uid_))));
   if (!resp.ok()) {
-    return Status::NotFound("no superblock for user " + std::to_string(uid_));
+    return ReadSubError("superblock for user " + std::to_string(uid_),
+                        resp.status);
   }
   SHAROES_ASSIGN_OR_RETURN(superblock_,
                            codec_.DecodeSuperblock(user_priv_, resp.payload));
   mounted_ = true;
   return Status::OK();
-}
-
-Result<MetadataView> SharoesClient::DecodeAndCacheView(const PlainRef& ref,
-                                                       const Bytes& payload) {
-  SHAROES_ASSIGN_OR_RETURN(
-      MetadataView view,
-      codec_.DecodeMetadataReplica(ref.inode, ref.selector, payload,
-                                   ref.mek, ref.mvk));
-  cache_.Put(ViewCacheKey(ref.inode, ref.selector), view, payload.size());
-  return view;
-}
-
-Result<MetadataView> SharoesClient::FetchView(const PlainRef& ref) {
-  std::string key = ViewCacheKey(ref.inode, ref.selector);
-  if (auto cached = cache_.Get<MetadataView>(key)) return *cached;
-  SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      Rpc(ssp::Request::Get(ssp::ObjectKey::Metadata(ref.inode,
-                                                     ref.selector))));
-  if (!resp.ok()) {
-    return Status::NotFound("metadata " + std::to_string(ref.inode) +
-                            " replica " + std::to_string(ref.selector) +
-                            " not at SSP");
-  }
-  return DecodeAndCacheView(ref, resp.payload);
-}
-
-Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref) {
-  SHAROES_ASSIGN_OR_RETURN(MetadataView view, FetchView(ref));
-  return Node{ref, std::move(view)};
 }
 
 Result<std::vector<ssp::Response>> SharoesClient::MultiGet(
@@ -303,143 +274,61 @@ Result<std::vector<ssp::Response>> SharoesClient::MultiGet(
   return std::move(resp.batch);
 }
 
-void SharoesClient::CacheFetchedDataBlocks(const Node& node,
-                                           const std::vector<uint32_t>& indices,
-                                           const ssp::Response* resps) {
-  if (!node.view.CanReadData()) return;
-  fs::InodeNum inode = node.ref.inode;
-  auto key_for = [&](uint32_t key_gen) -> Result<crypto::SymmetricKey> {
-    if (key_gen == node.view.dek_gen) return *node.view.dek;
-    if (key_gen == node.view.dek_gen + 1 && node.view.dek_next.has_value()) {
-      return *node.view.dek_next;
-    }
-    return Status::PermissionDenied("rotated key");
-  };
-  // The descriptor (in block 0) gates everything else: without it the
-  // per-block generations cannot be validated against anything.
-  std::optional<DataDescriptor> desc;
-  auto desc_from_plain = [&](const Bytes& plain) {
-    BinaryReader r(plain);
-    auto d = DataDescriptor::ReadFrom(&r);
-    if (d.ok()) desc = *d;
-  };
-  for (size_t j = 0; j < indices.size(); ++j) {
-    if (indices[j] != 0) continue;
-    const ssp::Response& r = resps[j];
-    if (!r.ok()) return;  // No block 0, nothing to validate against.
-    auto h = ObjectCodec::PeekDataHeader(r.payload);
-    if (!h.ok()) return;
-    auto dek = key_for(h->key_gen);
-    if (!dek.ok()) return;
-    auto plain = codec_.DecodeDataBlock(inode, 0, r.payload, *dek,
-                                        *node.view.dvk);
-    if (!plain.ok()) return;
-    cache_.Put(DataCacheKey(inode, 0), *plain, r.payload.size());
-    desc_from_plain(*plain);
-  }
-  if (!desc.has_value()) {
-    if (auto cached0 = cache_.Get<Bytes>(DataCacheKey(inode, 0))) {
-      desc_from_plain(*cached0);
-    }
-  }
-  if (!desc.has_value()) return;
-  for (size_t j = 0; j < indices.size(); ++j) {
-    uint32_t i = indices[j];
-    if (i == 0 || i >= desc->block_count) continue;  // Done / past EOF.
-    const ssp::Response& r = resps[j];
-    if (!r.ok()) continue;
-    auto h = ObjectCodec::PeekDataHeader(r.payload);
-    if (!h.ok() || h->write_gen != desc->GenOfBlock(i)) continue;
-    auto dek = key_for(h->key_gen);
-    if (!dek.ok()) continue;
-    auto plain =
-        codec_.DecodeDataBlock(inode, i, r.payload, *dek, *node.view.dvk);
-    if (!plain.ok()) continue;
-    auto tag = ObjectCodec::PeekDataTag(r.payload);
-    if (!tag.ok()) continue;
-    // The tag is the block's Merkle leaf: cache it alongside the
-    // plaintext so a later root check over cached blocks needs no
-    // re-fetch (FetchFileContent counts a block as cached only when
-    // both entries are present).
-    cache_.Put(DataCacheKey(inode, i), *plain, r.payload.size());
-    cache_.Put(TagCacheKey(inode, i), *tag, tag->size());
-  }
-}
-
-Result<SharoesClient::Node> SharoesClient::FetchNodeBatched(
-    const PlainRef& ref, bool want_table, bool want_data) {
-  if (!options_.batch_reads) return FetchNode(ref);
+Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
+                                                    bool want_table,
+                                                    bool want_data,
+                                                    Prefetched* ahead) {
   std::string view_key = ViewCacheKey(ref.inode, ref.selector);
-  std::string table_key = TableCacheKey(ref.inode, ref.selector);
-  bool fetch_view = !cache_.Contains(view_key);
-  bool fetch_table = want_table && !cache_.Contains(table_key);
-  std::vector<uint32_t> data_blocks;
-  if (want_data) {
-    uint32_t window = InitialWindowBlocks();
-    for (uint32_t i = 0; i < window; ++i) {
-      if (!cache_.Contains(DataCacheKey(ref.inode, i)) ||
-          (i > 0 && !cache_.Contains(TagCacheKey(ref.inode, i)))) {
-        data_blocks.push_back(i);
-      }
-    }
-  }
-  if (!fetch_view && !fetch_table && data_blocks.empty()) {
-    return FetchNode(ref);  // Fully cached.
-  }
+  auto cached_view = cache_.Get<MetadataView>(view_key);
   std::vector<ssp::Request> gets;
-  if (fetch_view) {
+  if (cached_view == nullptr) {
     gets.push_back(ssp::Request::Get(ssp::ObjectKey::Metadata(ref.inode,
                                                               ref.selector)));
   }
+  // Unbatched, a level asks for its view alone.
+  bool fetch_table = options_.batch_reads && want_table &&
+                     !cache_.Contains(TableCacheKey(ref.inode, ref.selector));
   if (fetch_table) {
     gets.push_back(ssp::Request::Get(ssp::ObjectKey::Metadata(
         ref.inode, TableSelector(ref.selector))));
   }
-  for (uint32_t b : data_blocks) {
-    gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(ref.inode, b)));
-  }
-  SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
-                           MultiGet(std::move(gets)));
-  size_t idx = 0;
-  MetadataView view;
-  if (fetch_view) {
-    const ssp::Response& r = resps[idx++];
-    if (r.status == ssp::RespStatus::kNotFound) {
-      return Status::NotFound("metadata " + std::to_string(ref.inode) +
-                              " replica " + std::to_string(ref.selector) +
-                              " not at SSP");
-    }
-    if (!r.ok()) {
-      return ReadSubError("metadata " + std::to_string(ref.inode), r.status);
-    }
-    SHAROES_ASSIGN_OR_RETURN(view, DecodeAndCacheView(ref, r.payload));
-  } else {
-    SHAROES_ASSIGN_OR_RETURN(view, FetchView(ref));  // Cached.
-  }
-  Node node{ref, std::move(view)};
-  if (fetch_table) {
-    const ssp::Response& r = resps[idx++];
-    // Best-effort: only a directory whose CAP exposes the table keys can
-    // use the prefetched copy; anything else is dropped and FetchTable
-    // (if ever called) re-fetches and reports authoritatively.
-    if (r.ok() && node.view.attrs.is_dir() &&
-        node.view.dek.has_value() && node.view.dvk.has_value()) {
-      auto table = codec_.DecodeTableCopy(ref.inode, ref.selector, r.payload,
-                                          *node.view.dek, *node.view.dvk);
-      if (table.ok()) {
-        auto sp = std::make_shared<const DecodedTable>(std::move(*table));
-        cache_.PutPtr(table_key, sp, r.payload.size());
+  std::vector<uint32_t> blocks;
+  if (options_.batch_reads && want_data) {
+    for (uint32_t i = 0; i < InitialWindowBlocks(); ++i) {
+      if (!cache_.Contains(DataCacheKey(ref.inode, i)) ||
+          (i > 0 && !cache_.Contains(TagCacheKey(ref.inode, i)))) {
+        blocks.push_back(i);
+        gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(ref.inode, i)));
       }
     }
   }
-  if (!data_blocks.empty()) {
-    CacheFetchedDataBlocks(node, data_blocks, &resps[idx]);
+  std::vector<ssp::Response> resps;
+  if (!gets.empty()) {
+    SHAROES_ASSIGN_OR_RETURN(resps, MultiGet(std::move(gets)));
   }
+  size_t next = 0;
+  Node node{ref, {}};
+  if (cached_view != nullptr) {
+    node.view = *cached_view;
+  } else {
+    const ssp::Response& r = resps[next++];
+    if (!r.ok()) {
+      return ReadSubError("metadata " + std::to_string(ref.inode) +
+                              " replica " + std::to_string(ref.selector),
+                          r.status);
+    }
+    SHAROES_ASSIGN_OR_RETURN(
+        node.view, codec_.DecodeMetadataReplica(ref.inode, ref.selector,
+                                                r.payload, ref.mek, ref.mvk));
+    cache_.Put(view_key, node.view, r.payload.size());
+  }
+  if (fetch_table) ahead->table = std::move(resps[next++]);
+  for (uint32_t b : blocks) ahead->data[b] = std::move(resps[next++]);
   return node;
 }
 
 Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
-    const Node& dir) {
+    const Node& dir, const ssp::Response* ahead) {
   if (!dir.view.attrs.is_dir()) {
     return Status::InvalidArgument("not a directory");
   }
@@ -448,17 +337,20 @@ Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
   }
   std::string key = TableCacheKey(dir.ref.inode, dir.ref.selector);
   if (auto cached = cache_.Get<DecodedTable>(key)) return cached;
-  SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      Rpc(ssp::Request::Get(ssp::ObjectKey::Metadata(
-          dir.ref.inode, TableSelector(dir.ref.selector)))));
-  if (!resp.ok()) return Status::NotFound("table copy not at SSP");
+  ssp::Response fetched;
+  if (ahead == nullptr || ahead->status == ssp::RespStatus::kError) {
+    SHAROES_ASSIGN_OR_RETURN(
+        fetched, Rpc(ssp::Request::Get(ssp::ObjectKey::Metadata(
+                     dir.ref.inode, TableSelector(dir.ref.selector)))));
+    ahead = &fetched;
+  }
+  if (!ahead->ok()) return ReadSubError("table copy", ahead->status);
   SHAROES_ASSIGN_OR_RETURN(
       DecodedTable table,
-      codec_.DecodeTableCopy(dir.ref.inode, dir.ref.selector, resp.payload,
+      codec_.DecodeTableCopy(dir.ref.inode, dir.ref.selector, ahead->payload,
                              *dir.view.dek, *dir.view.dvk));
   auto sp = std::make_shared<const DecodedTable>(std::move(table));
-  cache_.PutPtr(key, sp, resp.payload.size());
+  cache_.PutPtr(key, sp, ahead->payload.size());
   return sp;
 }
 
@@ -468,11 +360,12 @@ Result<GroupSecret> SharoesClient::FetchGroupSecret(fs::GroupId gid) {
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
       Rpc(ssp::Request::Get(ssp::ObjectKey::GroupKey(gid, uid_))));
-  if (!resp.ok()) {
+  if (resp.status == ssp::RespStatus::kNotFound) {
     return Status::PermissionDenied("no group key block for group " +
                                     std::to_string(gid) + " user " +
                                     std::to_string(uid_));
   }
+  if (!resp.ok()) return ReadSubError("group key block", resp.status);
   SHAROES_ASSIGN_OR_RETURN(
       GroupSecret secret, codec_.DecodeGroupKeyBlock(user_priv_,
                                                      resp.payload));
@@ -501,12 +394,17 @@ Result<PlainRef> SharoesClient::ResolveRowRef(const RowRef& row) {
     cache_.Put(ukey, ref, resp.payload.size());
     return ref;
   }
+  // Only a proven absence falls back; a transient failure is no verdict
+  // on whether this user holds a split block.
+  if (resp.status != ssp::RespStatus::kNotFound) {
+    return ReadSubError("user split block", resp.status);
+  }
   if (row.has_group_block && principal_.MemberOf(row.gid)) {
     SHAROES_ASSIGN_OR_RETURN(
         ssp::Response gresp,
         Rpc(ssp::Request::Get(ssp::ObjectKey::UserMetadata(
             row.inode, GroupBlockKey(row.gid)))));
-    if (!gresp.ok()) return Status::NotFound("group split block missing");
+    if (!gresp.ok()) return ReadSubError("group split block", gresp.status);
     SHAROES_ASSIGN_OR_RETURN(GroupSecret secret, FetchGroupSecret(row.gid));
     SHAROES_ASSIGN_OR_RETURN(
         PlainRef ref,
@@ -518,7 +416,7 @@ Result<PlainRef> SharoesClient::ResolveRowRef(const RowRef& row) {
 }
 
 Result<SharoesClient::Node> SharoesClient::ResolvePath(
-    const std::string& path, ReadIntent intent) {
+    const std::string& path, ReadIntent intent, Prefetched* ahead) {
   if (!mounted_) return Status::FailedPrecondition("not mounted");
   SHAROES_ASSIGN_OR_RETURN(std::vector<std::string> comps,
                            fs::SplitPath(path));
@@ -538,9 +436,13 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
     bool want_table = !last && !neg;
     bool want_data = last && intent == ReadIntent::kData;
     if (last && intent == ReadIntent::kTable) want_table = true;
+    Prefetched level;
     SHAROES_ASSIGN_OR_RETURN(node,
-                             FetchNodeBatched(ref, want_table, want_data));
-    if (last) return node;
+                             FetchNode(ref, want_table, want_data, &level));
+    if (last) {
+      if (ahead != nullptr) *ahead = std::move(level);
+      return node;
+    }
     const std::string& comp = comps[i];
     if (!node.view.attrs.is_dir()) {
       return Status::InvalidArgument("'" + comp +
@@ -554,7 +456,9 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
     if (neg) {
       return Status::NotFound("no entry named '" + comp + "'");
     }
-    SHAROES_ASSIGN_OR_RETURN(auto table, FetchTable(node));
+    SHAROES_ASSIGN_OR_RETURN(
+        auto table,
+        FetchTable(node, level.table.has_value() ? &*level.table : nullptr));
     RowRef row;
     switch (table->view) {
       case TableView::kFull: {
@@ -618,14 +522,18 @@ Result<std::vector<std::string>> SharoesClient::Readdir(
     const std::string& path) {
   OpScope span(this, "Readdir");
   ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path, ReadIntent::kTable));
+  Prefetched ahead;
+  SHAROES_ASSIGN_OR_RETURN(Node node,
+                           ResolvePath(path, ReadIntent::kTable, &ahead));
   if (!node.view.attrs.is_dir()) {
     return Status::InvalidArgument("not a directory");
   }
   if (!fs::Allows(node.view.attrs, principal_, fs::Access::kRead)) {
     return Status::PermissionDenied("no read permission on directory");
   }
-  SHAROES_ASSIGN_OR_RETURN(auto table, FetchTable(node));
+  SHAROES_ASSIGN_OR_RETURN(
+      auto table,
+      FetchTable(node, ahead.table.has_value() ? &*ahead.table : nullptr));
   if (table->view == TableView::kExecOnly ||
       table->view == TableView::kNone) {
     return Status::PermissionDenied("directory CAP does not permit listing");
@@ -723,7 +631,7 @@ Result<MasterTable> SharoesClient::FetchMaster(const Node& dir,
       ssp::Response resp,
       Rpc(ssp::Request::Get(ssp::ObjectKey::Metadata(
           dir.ref.inode, TableSelector(kMasterSelector)))));
-  if (!resp.ok()) return Status::NotFound("master table not at SSP");
+  if (!resp.ok()) return ReadSubError("master table", resp.status);
   SHAROES_ASSIGN_OR_RETURN(
       MasterTable master,
       codec_.DecodeMasterTable(dir.ref.inode, resp.payload, it->second,
@@ -869,7 +777,8 @@ Status SharoesClient::Create(const std::string& path,
   return CreateObject(path, fs::FileType::kFile, opts);
 }
 
-Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
+Result<Bytes> SharoesClient::FetchFileContent(
+    const Node& node, std::map<uint32_t, ssp::Response> ahead) {
   if (!node.view.CanReadData()) {
     return Status::PermissionDenied("CAP does not expose DEK/DVK");
   }
@@ -884,146 +793,126 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     return Status::PermissionDenied(
         "data re-encrypted under a rotated key (access revoked)");
   };
+  // A prefetched answer stands, kNotFound included; a transient kError
+  // is a miss and is fetched again.
+  auto answered = [&](uint32_t i) {
+    auto it = ahead.find(i);
+    return it != ahead.end() && it->second.status != ssp::RespStatus::kError;
+  };
+  // Readahead windows (one batched round trip each), or one RPC per
+  // block with batching off — the pre-batching wire behaviour kept as
+  // the benchmark comparator.
+  size_t window =
+      options_.batch_reads ? std::max<size_t>(options_.readahead_blocks, 1) : 1;
 
-  Bytes content;
+  // Block 0 carries the descriptor, so the block count is 1 until it is
+  // decoded. Per block: plaintext, AEAD tag (the Merkle leaf; block 0 is
+  // covered by its signature instead) and whether it is in hand.
   DataDescriptor desc;
-  std::string key0 = DataCacheKey(inode, 0);
-  if (auto cached = cache_.Get<Bytes>(key0)) {
-    BinaryReader r(*cached);
-    SHAROES_ASSIGN_OR_RETURN(desc, DataDescriptor::ReadFrom(&r));
-    content = r.GetRaw(r.remaining());
-  } else {
-    // Cold block 0: fetch it — batched with an initial window of sibling
-    // blocks when batching is on (the block count is still unknown, so
-    // gets past EOF come back as harmless kNotFound sub-responses).
-    std::vector<uint32_t> window = {0};
-    if (options_.batch_reads) {
-      uint32_t w = InitialWindowBlocks();
-      for (uint32_t i = 1; i < w; ++i) {
-        if (!cache_.Contains(DataCacheKey(inode, i)) ||
-            !cache_.Contains(TagCacheKey(inode, i))) {
-          window.push_back(i);
+  uint32_t count = 1;
+  uint32_t looked_up = 0;
+  std::vector<Bytes> chunks(1), tags(1);
+  std::vector<bool> have(1, false);
+  for (uint32_t i = 0; i < count; ++i) {
+    // Look every known block up in the cache before any window fetch, so
+    // the fetched blocks' cache fills cannot evict one this read needs.
+    // A tail block counts as cached only with its tag alongside: the
+    // root check below needs every tail tag.
+    for (; looked_up < count; ++looked_up) {
+      uint32_t j = looked_up;
+      auto plain = cache_.Get<Bytes>(DataCacheKey(inode, j));
+      auto tag = j == 0 ? nullptr : cache_.Get<Bytes>(TagCacheKey(inode, j));
+      if (plain != nullptr && (j == 0 || tag != nullptr)) {
+        chunks[j] = *plain;
+        if (tag != nullptr) tags[j] = *tag;
+        have[j] = true;
+      }
+    }
+    if (!have[i]) {
+      if (!answered(i)) {
+        // Fetch a window: this block plus the next ones neither in hand
+        // nor answered. Before the descriptor is known the window is the
+        // small speculative one (gets past EOF come back as harmless
+        // kNotFound sub-responses).
+        uint32_t limit = i == 0 ? InitialWindowBlocks() : count;
+        std::vector<uint32_t> idx = {i};
+        for (uint32_t j = i + 1; j < limit && idx.size() < window; ++j) {
+          bool in_hand = j < looked_up
+                             ? have[j]
+                             : cache_.Contains(DataCacheKey(inode, j)) &&
+                                   cache_.Contains(TagCacheKey(inode, j));
+          if (!in_hand && !answered(j)) idx.push_back(j);
+        }
+        std::vector<ssp::Request> gets;
+        gets.reserve(idx.size());
+        for (uint32_t j : idx) {
+          gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(inode, j)));
+        }
+        SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
+                                 MultiGet(std::move(gets)));
+        for (size_t k = 0; k < idx.size(); ++k) {
+          ahead[idx[k]] = std::move(resps[k]);
         }
       }
-    }
-    std::vector<ssp::Request> gets;
-    gets.reserve(window.size());
-    for (uint32_t b : window) {
-      gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(inode, b)));
-    }
-    SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
-                             MultiGet(std::move(gets)));
-    const ssp::Response& r0 = resps[0];
-    if (r0.status == ssp::RespStatus::kNotFound) {
-      return Bytes{};  // Never written: empty file.
-    }
-    if (!r0.ok()) {
-      // A transient kError is NOT a missing block: surfacing it as
-      // NotFound (or an empty file) would corrupt reads under fault
-      // injection. It maps to Unavailable and is safe to retry.
-      return ReadSubError("data block 0", r0.status);
-    }
-    SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h0,
-                             ObjectCodec::PeekDataHeader(r0.payload));
-    SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey dek, key_for(h0.key_gen));
-    SHAROES_ASSIGN_OR_RETURN(
-        Bytes plain0,
-        codec_.DecodeDataBlock(inode, 0, r0.payload, dek, *node.view.dvk));
-    cache_.Put(key0, plain0, r0.payload.size());
-    BinaryReader r(plain0);
-    SHAROES_ASSIGN_OR_RETURN(desc, DataDescriptor::ReadFrom(&r));
-    content = r.GetRaw(r.remaining());
-    if (window.size() > 1) {
-      // Siblings from the same round trip: best-effort cache fill (the
-      // strict loop below re-validates anything that failed here).
-      std::vector<uint32_t> siblings(window.begin() + 1, window.end());
-      CacheFetchedDataBlocks(node, siblings, &resps[1]);
-    }
-  }
-  // Freshness (SUNDR-style rollback detection, paper §VIII): the write
-  // generation this client has observed for an inode must never move
-  // backwards. An SSP serving a stale-but-validly-signed version is
-  // caught here.
-  auto it = freshness_.find(inode);
-  if (it != freshness_.end()) {
-    if (desc.write_gen < it->second.write_gen) {
-      return Status::Corruption(
-          "rollback detected: write generation regressed");
-    }
-    // Same generation but a different tag root is SSP equivocation:
-    // two distinct contents presented under one write generation.
-    if (desc.write_gen == it->second.write_gen &&
-        !it->second.tag_root.empty() &&
-        !ConstantTimeEquals(desc.tag_root, it->second.tag_root)) {
-      return Status::Corruption(
-          "rollback detected: different content presented at the same "
-          "write generation");
-    }
-  }
-  freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
-
-  std::vector<Bytes> tail_tags;  // Merkle leaves: blocks 1..block_count-1.
-  if (desc.block_count > 1) {
-    tail_tags.resize(desc.block_count - 1);
-    std::vector<uint32_t> missing;
-    std::map<uint32_t, Bytes> chunks;
-    for (uint32_t i = 1; i < desc.block_count; ++i) {
-      // A block counts as cached only when its AEAD tag is cached
-      // alongside: the root check below needs every tail tag.
-      auto cached = cache_.Get<Bytes>(DataCacheKey(inode, i));
-      auto cached_tag = cache_.Get<Bytes>(TagCacheKey(inode, i));
-      if (cached != nullptr && cached_tag != nullptr) {
-        chunks[i] = *cached;
-        tail_tags[i - 1] = *cached_tag;
-        continue;
+      const ssp::Response& sub = ahead[i];
+      if (i == 0 && sub.status == ssp::RespStatus::kNotFound) {
+        return Bytes{};  // Never written: empty file.
       }
-      missing.push_back(i);
-    }
-    // Fetch the missing blocks in readahead windows (one batched round
-    // trip per window) — or one RPC per block with batching off, the
-    // pre-batching wire behaviour kept as the benchmark comparator.
-    size_t window_size =
-        options_.batch_reads ? std::max<size_t>(options_.readahead_blocks, 1)
-                             : 1;
-    for (size_t pos = 0; pos < missing.size(); pos += window_size) {
-      size_t end = std::min(missing.size(), pos + window_size);
-      std::vector<ssp::Request> gets;
-      gets.reserve(end - pos);
-      for (size_t j = pos; j < end; ++j) {
-        gets.push_back(ssp::Request::Get(ssp::ObjectKey::Data(inode,
-                                                              missing[j])));
+      if (!sub.ok()) {
+        // A transient kError is NOT a missing block: surfacing it as
+        // NotFound (or an empty file) would corrupt reads under fault
+        // injection. It maps to Unavailable and is safe to retry.
+        return ReadSubError("data block " + std::to_string(i), sub.status);
       }
-      SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
-                               MultiGet(std::move(gets)));
-      for (size_t j = pos; j < end; ++j) {
-        uint32_t i = missing[j];
-        const ssp::Response& sub = resps[j - pos];
-        if (!sub.ok()) {
-          return ReadSubError("data block " + std::to_string(i), sub.status);
-        }
-        const Bytes& wire = sub.payload;
-        SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
-                                 ObjectCodec::PeekDataHeader(wire));
-        if (h.write_gen != desc.GenOfBlock(i)) {
+      const Bytes& wire = sub.payload;
+      SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
+                               ObjectCodec::PeekDataHeader(wire));
+      if (i > 0 && h.write_gen != desc.GenOfBlock(i)) {
+        return Status::Corruption(
+            "data block generation does not match the descriptor");
+      }
+      SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey dek, key_for(h.key_gen));
+      SHAROES_ASSIGN_OR_RETURN(
+          chunks[i],
+          codec_.DecodeDataBlock(inode, i, wire, dek, *node.view.dvk));
+      if (i > 0) {
+        SHAROES_ASSIGN_OR_RETURN(tags[i], ObjectCodec::PeekDataTag(wire));
+      }
+      cache_.Put(DataCacheKey(inode, i), chunks[i], wire.size());
+      if (i > 0) cache_.Put(TagCacheKey(inode, i), tags[i], tags[i].size());
+    }
+    if (i == 0) {
+      BinaryReader r(chunks[0]);
+      SHAROES_ASSIGN_OR_RETURN(desc, DataDescriptor::ReadFrom(&r));
+      chunks[0] = r.GetRaw(r.remaining());
+      // Freshness (SUNDR-style rollback detection, paper §VIII): the
+      // write generation this client has observed for an inode must
+      // never move backwards. An SSP serving a stale-but-validly-signed
+      // version is caught here.
+      auto it = freshness_.find(inode);
+      if (it != freshness_.end()) {
+        if (desc.write_gen < it->second.write_gen) {
           return Status::Corruption(
-              "data block generation does not match the descriptor");
+              "rollback detected: write generation regressed");
         }
-        SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey dek,
-                                 key_for(h.key_gen));
-        SHAROES_ASSIGN_OR_RETURN(
-            Bytes plain,
-            codec_.DecodeDataBlock(inode, i, wire, dek, *node.view.dvk));
-        SHAROES_ASSIGN_OR_RETURN(Bytes tag, ObjectCodec::PeekDataTag(wire));
-        cache_.Put(DataCacheKey(inode, i), plain, wire.size());
-        cache_.Put(TagCacheKey(inode, i), tag, tag.size());
-        tail_tags[i - 1] = std::move(tag);
-        chunks[i] = std::move(plain);
+        // Same generation but a different tag root is SSP equivocation:
+        // two distinct contents presented under one write generation.
+        if (desc.write_gen == it->second.write_gen &&
+            !it->second.tag_root.empty() &&
+            !ConstantTimeEquals(desc.tag_root, it->second.tag_root)) {
+          return Status::Corruption(
+              "rollback detected: different content presented at the same "
+              "write generation");
+        }
       }
-    }
-    for (uint32_t i = 1; i < desc.block_count; ++i) {
-      ::sharoes::Append(content, chunks[i]);
+      freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
+      count = desc.block_count;
+      chunks.resize(std::max<uint32_t>(count, 1));
+      tags.resize(chunks.size());
+      have.resize(chunks.size(), false);
     }
   }
+  std::vector<Bytes> tail_tags(tags.begin() + 1, tags.end());
   // The one signature a reader verifies (block 0) commits to the tail
   // blocks only through the descriptor's Merkle root: re-derive it from
   // the tags actually served and compare. A cross-block splice — valid
@@ -1035,6 +924,10 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     return Status::Corruption(
         "block tag root mismatch: tail blocks do not match the signed "
         "descriptor");
+  }
+  Bytes content = std::move(chunks[0]);
+  for (size_t i = 1; i < chunks.size(); ++i) {
+    ::sharoes::Append(content, chunks[i]);
   }
   if (content.size() != desc.size) {
     return Status::Corruption("file size mismatch after reassembly");
@@ -1048,14 +941,16 @@ Result<Bytes> SharoesClient::Read(const std::string& path) {
   SHAROES_ASSIGN_OR_RETURN(std::string norm, fs::NormalizePath(path));
   auto buf_it = write_buffers_.find(norm);
   if (buf_it != write_buffers_.end()) return buf_it->second.content;
-  SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path, ReadIntent::kData));
+  Prefetched ahead;
+  SHAROES_ASSIGN_OR_RETURN(Node node,
+                           ResolvePath(path, ReadIntent::kData, &ahead));
   if (node.view.attrs.is_dir()) {
     return Status::InvalidArgument("cannot Read a directory");
   }
   if (!fs::Allows(node.view.attrs, principal_, fs::Access::kRead)) {
     return Status::PermissionDenied("no read permission");
   }
-  return FetchFileContent(node);
+  return FetchFileContent(node, std::move(ahead.data));
 }
 
 Status SharoesClient::Write(const std::string& path, const Bytes& content) {

@@ -44,8 +44,11 @@ struct ClientOptions {
   /// Fixed per-operation client handling cost ("OTHER" in Figure 13).
   double client_overhead_ms = 5.0;
   /// Batched read path (DESIGN.md §11): ResolvePath coalesces each
-  /// level's metadata + table fetch into one kBatch round trip, and
-  /// FetchFileContent fetches data blocks in readahead windows. Off =
+  /// level's metadata + table fetch (and a read's first data blocks) into
+  /// one kBatch round trip, and FetchFileContent fetches data blocks in
+  /// readahead windows. The prefetched objects go straight to the code
+  /// that uses them, so every fetched object is decoded once either way.
+  /// Off = the same code with nothing prefetched and one-block windows:
   /// one RPC per object/block (kept as the benchmark comparator for the
   /// round-trip win; see bench_network_sweep).
   bool batch_reads = true;
@@ -200,32 +203,31 @@ class SharoesClient : public FsClient {
     obs::Histogram* trips_hist_;
   };
 
+  /// Sub-responses a coalesced descent fetched ahead for its caller's
+  /// next step, handed straight to the code that decodes them (never
+  /// decoded on the way, never routed through the cache).
+  struct Prefetched {
+    std::optional<ssp::Response> table;      // The node's table copy.
+    std::map<uint32_t, ssp::Response> data;  // First data window, by block.
+  };
+
   // --- Resolution ---
+  /// Walks `path`; `ahead` (optional) receives what the final level's
+  /// fetch prefetched for `intent`.
   Result<Node> ResolvePath(const std::string& path,
-                           ReadIntent intent = ReadIntent::kNone);
-  Result<Node> FetchNode(const PlainRef& ref);
-  /// FetchNode, but when batch_reads is on the view fetch is coalesced
-  /// with this level's other likely-needed objects (the directory table
-  /// when want_table, the file's first data blocks when want_data) into
-  /// one round trip. The extra objects are decoded into the cache
-  /// best-effort; a failure there simply surfaces later on the
-  /// authoritative path (FetchTable / FetchFileContent), keeping error
-  /// semantics in one place.
-  Result<Node> FetchNodeBatched(const PlainRef& ref, bool want_table,
-                                bool want_data);
-  Result<MetadataView> FetchView(const PlainRef& ref);
-  /// Decodes a fetched metadata replica and fills the cache (the shared
-  /// tail of FetchView and FetchNodeBatched).
-  Result<MetadataView> DecodeAndCacheView(const PlainRef& ref,
-                                          const Bytes& payload);
-  /// Best-effort decode + cache-fill of fetched data-block wires for
-  /// `node`: blocks past the descriptor's block_count (speculative
-  /// overfetch) and non-ok sub-responses are skipped; validation errors
-  /// drop the block so the strict path re-fetches and reports.
-  void CacheFetchedDataBlocks(const Node& node,
-                              const std::vector<uint32_t>& indices,
-                              const ssp::Response* resps);
-  Result<std::shared_ptr<const DecodedTable>> FetchTable(const Node& dir);
+                           ReadIntent intent = ReadIntent::kNone,
+                           Prefetched* ahead = nullptr);
+  /// Fetches one node's metadata view. With batch_reads on, the view
+  /// fetch is coalesced with this level's other likely-needed objects
+  /// (the directory table when want_table, the file's first data blocks
+  /// when want_data) into one round trip; those come back undecoded in
+  /// `ahead` for FetchTable / FetchFileContent, which own their errors.
+  Result<Node> FetchNode(const PlainRef& ref, bool want_table, bool want_data,
+                         Prefetched* ahead);
+  /// The directory's decoded table copy: cache, else the prefetched
+  /// response (a transient kError there is a miss), else one Get.
+  Result<std::shared_ptr<const DecodedTable>> FetchTable(
+      const Node& dir, const ssp::Response* ahead = nullptr);
   Result<PlainRef> ResolveRowRef(const RowRef& row);
   Result<GroupSecret> FetchGroupSecret(fs::GroupId gid);
 
@@ -301,7 +303,10 @@ class SharoesClient : public FsClient {
   uint32_t InitialWindowBlocks() const;
 
   // --- Data path ---
-  Result<Bytes> FetchFileContent(const Node& node);
+  /// Reads and verifies a whole file: each block comes from the cache,
+  /// else from `ahead` (prefetched), else from a readahead window.
+  Result<Bytes> FetchFileContent(const Node& node,
+                                 std::map<uint32_t, ssp::Response> ahead = {});
   Status FlushBuffer(const std::string& path, WriteBuffer* buf);
   /// The next write generation for an inode (monotonic per §VIII
   /// freshness; peeks the stored header when history is unknown).

@@ -60,8 +60,9 @@ struct BenchWorldOptions {
   core::Scheme scheme = core::Scheme::kScheme2;
   uint64_t seed = 0xBE4C;
   /// Batched-read knobs (Sharoes variant only). batch_reads=false pins
-  /// the client to one data-block get per round trip — the unbatched
-  /// comparator the read-RTT benchmark measures against.
+  /// the client to one object get per round trip — the unbatched
+  /// comparator the read-RTT benchmark measures against. Both settings
+  /// decode each fetched object exactly once, at any cache size.
   bool batch_reads = true;
   size_t readahead_blocks = 32;
   /// Write-behind knob (Sharoes variant only): mutating sub-ops staged

@@ -23,6 +23,7 @@ namespace {
 using sharoes::testing::Fault;
 using sharoes::testing::kAlice;
 using sharoes::testing::kBob;
+using sharoes::testing::kCarol;
 using sharoes::testing::kEng;
 using sharoes::testing::ScriptedInjector;
 using sharoes::testing::World;
@@ -83,6 +84,107 @@ TEST(BatchedReadTest, ColdReadsAreByteIdenticalAndCheaper) {
   uint64_t tb = ColdRead(batched, kAlice, "/shared/big.bin", &got);
   uint64_t tu = ColdRead(unbatched, kAlice, "/shared/big.bin", &got);
   EXPECT_GE(tu, 4 * tb) << "batched=" << tb << " unbatched=" << tu;
+}
+
+/// One cold pass of reads over a tree, the wire and crypto work it cost.
+struct ReadPass {
+  std::vector<Bytes> contents;
+  uint64_t round_trips = 0;
+  uint64_t bytes_down = 0;
+  uint64_t sym_decrypts = 0;
+  uint64_t verifies = 0;
+};
+
+/// Builds a nested tree of empty, 1-, 2- and 40-block files plus a
+/// lazily revoked then rewritten file (blocks under dek_next), then reads
+/// every file cold: alice everything, carol a file behind an exec-only
+/// directory (/home/alice is rwxr-x--x).
+ReadPass ColdReadPass(bool batch_reads, size_t cache_bytes) {
+  World::Options opts = BatchedOpts(batch_reads);
+  opts.cache_bytes = cache_bytes;
+  opts.revocation = RevocationMode::kLazy;
+  World world(opts);
+  EXPECT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  CreateOptions dopts;
+  dopts.mode = World::ParseMode("rwxrwxr-x");
+  CreateOptions fopts;
+  fopts.mode = World::ParseMode("rw-rw-r--");
+  EXPECT_TRUE(alice.Mkdir("/shared/deep", dopts).ok());
+  EXPECT_TRUE(alice.Mkdir("/shared/deep/er", dopts).ok());
+  const std::vector<std::pair<std::string, uint32_t>> files = {
+      {"/shared/deep/er/empty.bin", 0},
+      {"/shared/deep/er/one.bin", 1},
+      {"/shared/deep/er/two.bin", 2},
+      {"/shared/deep/er/forty.bin", 40},
+      {"/shared/lazy.bin", 3}};
+  uint8_t salt = 11;
+  for (const auto& [path, blocks] : files) {
+    EXPECT_TRUE(alice.Create(path, fopts).ok()) << path;
+    if (blocks > 0) {
+      EXPECT_TRUE(alice.WriteFile(path, BlocksOfPattern(blocks, salt++)).ok());
+    }
+  }
+  // Lazy revocation: others lose read, the next write rotates the key.
+  EXPECT_TRUE(alice.Chmod("/shared/lazy.bin", World::ParseMode("rw-rw----"))
+                  .ok());
+  EXPECT_TRUE(alice.WriteFile("/shared/lazy.bin", BlocksOfPattern(3, 99)).ok());
+
+  // Wire and crypto totals of both readers so far.
+  auto totals = [&] {
+    ReadPass t;
+    for (fs::UserId uid : {kAlice, kCarol}) {
+      t.round_trips += world.transport(uid).counters().round_trips;
+      t.bytes_down += world.transport(uid).counters().bytes_down;
+      t.sym_decrypts += world.engine(uid).op_counts().sym_decrypt;
+      t.verifies += world.engine(uid).op_counts().verify;
+    }
+    return t;
+  };
+  alice.DropCaches();
+  world.client(kCarol).DropCaches();
+  const ReadPass before = totals();
+  ReadPass pass;
+  for (const auto& [path, blocks] : files) {
+    auto got = alice.Read(path);
+    EXPECT_TRUE(got.ok()) << path << ": " << got.status();
+    pass.contents.push_back(got.ok() ? *got : Bytes{});
+  }
+  auto exec_only = world.client(kCarol).Read("/home/alice/public.txt");
+  EXPECT_TRUE(exec_only.ok()) << exec_only.status();
+  pass.contents.push_back(exec_only.ok() ? *exec_only : Bytes{});
+  const ReadPass after = totals();
+  pass.round_trips = after.round_trips - before.round_trips;
+  pass.bytes_down = after.bytes_down - before.bytes_down;
+  pass.sym_decrypts = after.sym_decrypts - before.sym_decrypts;
+  pass.verifies = after.verifies - before.verifies;
+  return pass;
+}
+
+TEST(BatchedReadTest, EachFetchedObjectIsDecodedOnce) {
+  // Batching changes how objects travel, never how many are decoded: at
+  // a zero-byte cache (nothing survives between fetch and use) and at a
+  // warm-sized one, the batched reads decrypt and verify exactly what
+  // the unbatched ones do, in no more round trips and about the same
+  // bytes (a prefetched object must never be fetched a second time).
+  for (size_t cache_bytes : {size_t{0}, size_t{64} << 20}) {
+    ReadPass batched = ColdReadPass(true, cache_bytes);
+    ReadPass unbatched = ColdReadPass(false, cache_bytes);
+    SCOPED_TRACE("cache_bytes=" + std::to_string(cache_bytes));
+    EXPECT_EQ(batched.contents, unbatched.contents);
+    ASSERT_EQ(batched.contents.size(), 6u);
+    EXPECT_TRUE(batched.contents[0].empty());
+    EXPECT_EQ(batched.contents[3].size(), 40u * 4096);
+    EXPECT_EQ(batched.contents[4], BlocksOfPattern(3, 99));
+    EXPECT_EQ(batched.contents[5], ToBytes("hello world"));
+    EXPECT_LE(batched.round_trips, unbatched.round_trips);
+    EXPECT_EQ(batched.sym_decrypts, unbatched.sym_decrypts);
+    EXPECT_EQ(batched.verifies, unbatched.verifies);
+    // Speculative gets past EOF (tiny kNotFound answers) and batch
+    // framing cost the batched client a few bytes per batch; fetching
+    // any object twice would cost whole blocks and tables.
+    EXPECT_LE(batched.bytes_down, unbatched.bytes_down * 21 / 20);
+  }
 }
 
 TEST(BatchedReadTest, ReadaheadWindowBoundsBatchSize) {
@@ -211,6 +313,80 @@ TEST(BatchedReadTest, TransientFaultIsUnavailableNotNotFound) {
     ASSERT_TRUE(healed.ok()) << healed.status();
     EXPECT_EQ(*healed, ToBytes("alice's notes"));
   }
+}
+
+/// Runs `op` with the world's server failing its next request with a
+/// transient kError (the in-process connection does not retry).
+template <typename Op>
+auto WithOneFailedRequest(World& world, Op op) {
+  ScriptedInjector inject_one({Fault(ssp::FaultAction::Kind::kFailRequest)});
+  world.server().set_fault_injector(&inject_one);
+  auto result = op();
+  world.server().set_fault_injector(nullptr);
+  EXPECT_EQ(inject_one.consumed(), 1u);
+  return result;
+}
+
+TEST(BatchedReadTest, TransientFaultOnASingleGetIsNeverAbsence) {
+  // Regression: the single-Get reads outside the data path turned every
+  // non-ok answer into a verdict: a table copy "not at SSP", a user
+  // split block "absent" (so PermissionDenied), no superblock. One
+  // injected kError on that Get must surface as Unavailable instead.
+  World world(BatchedOpts(false));
+  core::LocalNode root = core::LocalNode::Dir("", kAlice, kEng,
+                                              World::ParseMode("rwxr-xr-x"));
+  core::LocalNode shared = core::LocalNode::Dir(
+      "shared", kAlice, kEng, World::ParseMode("rwxrwx---"));
+  core::LocalNode acl_file = core::LocalNode::File(
+      "for-carol.txt", kAlice, kEng, World::ParseMode("rw-r-----"),
+      ToBytes("named in the ACL"));
+  acl_file.acl.push_back(fs::AclEntry{fs::AclEntry::Kind::kUser, kCarol, 4});
+  root.children.push_back(std::move(shared));
+  root.children.push_back(std::move(acl_file));
+  ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
+
+  // The table copy: /shared's view is warm, so Readdir's next request is
+  // the table Get.
+  auto& alice = world.client(kAlice);
+  ASSERT_TRUE(alice.Getattr("/shared").ok());
+  auto listed = WithOneFailedRequest(world, [&] {
+    return alice.Readdir("/shared");
+  });
+  EXPECT_TRUE(listed.status().IsUnavailable()) << listed.status();
+  EXPECT_TRUE(alice.Readdir("/shared").ok());
+
+  // The user split block: the root table is warm, so carol's next
+  // request is the Get of her split block for the ACL'd file.
+  auto& carol = world.client(kCarol);
+  ASSERT_TRUE(carol.Readdir("/").ok());
+  auto read = WithOneFailedRequest(world, [&] {
+    return carol.Read("/for-carol.txt");
+  });
+  EXPECT_TRUE(read.status().IsUnavailable()) << read.status();
+  auto healed = carol.Read("/for-carol.txt");
+  ASSERT_TRUE(healed.ok()) << healed.status();
+  EXPECT_EQ(*healed, ToBytes("named in the ACL"));
+
+  // The superblock: Mount's first request.
+  Status mounted = WithOneFailedRequest(world, [&] {
+    return world.Mount(kBob);
+  });
+  EXPECT_TRUE(mounted.IsUnavailable()) << mounted;
+  EXPECT_TRUE(world.Mount(kBob).ok());
+}
+
+TEST(BatchedReadTest, PrefetchedTransientFaultIsAMiss) {
+  // A prefetched sub-response that failed transiently is not an answer:
+  // its consumer fetches the object itself.
+  World world(BatchedOpts(true));
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  ASSERT_TRUE(alice.Getattr("/shared").ok());
+  auto listed = WithOneFailedRequest(world, [&] {
+    return alice.Readdir("/shared");
+  });
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  EXPECT_EQ(*listed, std::vector<std::string>{"plan.md"});
 }
 
 /// Wraps a channel and, when armed, rewrites one sub-response of the next

@@ -119,6 +119,8 @@ class World {
   }
 
   core::SharoesClient& client(fs::UserId uid) { return *clients_.at(uid); }
+  /// The per-user crypto engine; op_counts() tallies its primitives.
+  crypto::CryptoEngine& engine(fs::UserId uid) { return *engines_.at(uid); }
   /// The per-user simulated link; counters() gives wire round trips and
   /// bytes, which is what the round-trip benchmarks and tests assert on.
   net::Transport& transport(fs::UserId uid) { return *transports_.at(uid); }

@@ -70,10 +70,14 @@
 // Clients behind core::RetryingConnection ride out everything except
 // corruption, which their integrity layer must reject instead.
 
+#include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -87,11 +91,50 @@
 #include "ssp/wal.h"
 
 namespace {
-volatile std::sig_atomic_t g_stop = 0;
-void HandleSignal(int) { g_stop = 1; }
+// SIGINT/SIGTERM may be delivered to any thread (WAL syncer, acceptor,
+// connection workers, scrubber), so the handler does not set a flag that
+// main() must happen to be awake to see: it writes one byte into a pipe
+// that main() blocks on. The byte stays there until read, so a signal
+// arriving before main() starts waiting is not lost either.
+int g_stop_pipe[2] = {-1, -1};
+
+void WakeMain(int) {
+  int saved = errno;
+  char byte = 1;
+  ssize_t n = ::write(g_stop_pipe[1], &byte, 1);
+  (void)n;  // A full pipe already holds a wake-up.
+  errno = saved;
+}
+
+/// Installs WakeMain for SIGINT/SIGTERM. Called before any thread starts,
+/// so a signal during WAL recovery or startup shuts down cleanly too.
+bool InstallStopHandlers() {
+  if (::pipe2(g_stop_pipe, O_CLOEXEC | O_NONBLOCK) != 0) return false;
+  struct sigaction sa = {};
+  sa.sa_handler = WakeMain;
+  sa.sa_flags = SA_RESTART;
+  sigemptyset(&sa.sa_mask);
+  return ::sigaction(SIGINT, &sa, nullptr) == 0 &&
+         ::sigaction(SIGTERM, &sa, nullptr) == 0;
+}
+
+/// Blocks until a stop signal arrives, or `timeout_ms` passes (-1 waits
+/// forever). Returns true on a stop signal.
+bool WaitForStop(int timeout_ms) {
+  pollfd pfd = {g_stop_pipe[0], POLLIN, 0};
+  int ready;
+  do {
+    ready = ::poll(&pfd, 1, timeout_ms);
+  } while (ready < 0 && errno == EINTR);
+  return ready != 0;
+}
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!InstallStopHandlers()) {
+    std::perror("sharoes_sspd: cannot install signal handlers");
+    return 1;
+  }
   uint16_t port = 7070;
   bool explicit_port = false;
   std::string wal_dir;
@@ -265,28 +308,14 @@ int main(int argc, char** argv) {
               (*daemon)->port());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
-  if (stats_interval_s > 0) {
-    // Sleep in 100ms slices so a signal stops the daemon promptly even
-    // mid-interval (sleep() would also be interrupted, but a handler
-    // racing just before sleep(N) would otherwise stall a full period).
-    int slices_per_dump = stats_interval_s * 10;
-    for (int slice = 0; g_stop == 0; ++slice) {
-      ::usleep(100 * 1000);
-      if (slice % slices_per_dump == slices_per_dump - 1) {
-        std::string json =
-            sharoes::obs::MetricsRegistry::Global().SnapshotJson();
-        std::printf("%s\n", json.c_str());
-        std::fflush(stdout);
-      }
-    }
-  } else {
-    while (g_stop == 0) {
-      ::pause();
-    }
+  int timeout_ms = stats_interval_s > 0 ? stats_interval_s * 1000 : -1;
+  while (!WaitForStop(timeout_ms)) {
+    std::string json = sharoes::obs::MetricsRegistry::Global().SnapshotJson();
+    std::printf("%s\n", json.c_str());
+    std::fflush(stdout);
   }
   std::printf("sharoes_sspd: shutting down\n");
+  std::fflush(stdout);
   // Scrubber first: its repair path calls server.Handle, which must not
   // race the WAL detach below.
   scrubber.reset();
