@@ -23,12 +23,13 @@ void Run() {
   Heading(
       "Figure 10: Postmark (500 files, 500 transactions) vs. cache size");
   const double fractions[] = {0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0};
-  // SHAROES runs the batched read path (the library default); the extra
-  // column is the same client with batch_reads off, the one-get-per-trip
-  // comparator, so the batching cost or gain is visible per cache size.
+  // Every paper column fetches one object per round trip, as the
+  // baselines do. The extra column, beyond the paper, is the same SHAROES
+  // client with batch_reads on, so the batching gain is visible per
+  // cache size.
   Table table({"cache %", "NO-ENC-MD-D (s)", "NO-ENC-MD (s)", "SHAROES (s)",
                "PUB-OPT (s)", "SHAROES vs base", "PUB-OPT vs base",
-               "SHAROES unbatched (s)"});
+               "SHAROES batched (s)"});
   for (double frac : fractions) {
     std::vector<double> secs;
     for (SystemVariant v : MacroVariants()) {
@@ -39,16 +40,16 @@ void Run() {
       PostmarkResult r = RunPostmark(world, params, frac);
       secs.push_back(r.transactions.total_s());
     }
-    BenchWorldOptions unbatched;
-    unbatched.batch_reads = false;
-    BenchWorld world(unbatched);
-    double unbatched_s =
+    BenchWorldOptions batched;
+    batched.batch_reads = true;
+    BenchWorld world(batched);
+    double batched_s =
         RunPostmark(world, PostmarkParams(), frac).transactions.total_s();
     char pct[16];
     std::snprintf(pct, sizeof(pct), "%.0f%%", frac * 100);
     table.AddRow({pct, Seconds(secs[0]), Seconds(secs[1]), Seconds(secs[2]),
                   Seconds(secs[3]), Percent(secs[2], secs[0]),
-                  Percent(secs[3], secs[0]), Seconds(unbatched_s)});
+                  Percent(secs[3], secs[0]), Seconds(batched_s)});
   }
   table.Print();
   std::printf(

@@ -50,9 +50,8 @@ int main() {
   ssp::SspConnection conn(&ssp_server, &wan);
 
   core::IdentityDirectory identity;
-  core::Provisioner::Options popts;
-  popts.user_key_bits = 1024;
-  core::Provisioner provisioner(&identity, &ssp_server, &engine, popts);
+  core::Provisioner provisioner(&identity, &ssp_server, &engine,
+                                core::Provisioner::Options());
   auto alice_kp = provisioner.CreateUser(kAlice, "alice");
   auto bob_kp = provisioner.CreateUser(kBob, "bob");
   auto carol_kp = provisioner.CreateUser(kCarol, "carol");

@@ -49,9 +49,8 @@ int main() {
   ssp::SspConnection conn(&ssp_server, &wan);
 
   core::IdentityDirectory identity;
-  core::Provisioner::Options popts;
-  popts.user_key_bits = 1024;
-  core::Provisioner provisioner(&identity, &ssp_server, &engine, popts);
+  core::Provisioner provisioner(&identity, &ssp_server, &engine,
+                                core::Provisioner::Options());
   auto admin_kp = provisioner.CreateUser(kAdmin, "admin");
   Check(admin_kp.status(), "admin");
   Check(provisioner.CreateGroup(kStaff, "staff", {kAdmin}).status(),

@@ -43,9 +43,8 @@ int main() {
 
   // --- 2. Provision the enterprise: users, keys, and the filesystem. ---
   core::IdentityDirectory identity;
-  core::Provisioner::Options popts;
-  popts.user_key_bits = 1024;  // Keep the demo fast; 2048 in production.
-  core::Provisioner provisioner(&identity, &ssp_server, &engine, popts);
+  core::Provisioner provisioner(&identity, &ssp_server, &engine,
+                                core::Provisioner::Options());
 
   std::printf("Provisioning users alice and bob...\n");
   auto alice_keys = provisioner.CreateUser(kAlice, "alice");

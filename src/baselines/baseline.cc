@@ -10,6 +10,10 @@ namespace sharoes::baselines {
 namespace {
 /// Pseudo-user slot holding the shared plaintext superblock.
 constexpr uint32_t kSuperblockSlot = 0;
+/// Bytes of the pad standing in for signing key material in the
+/// public-key modes' records (EXPERIMENTS.md: PUBLIC's Figure 9 list cost
+/// implies about 16 RSA blocks per object).
+constexpr size_t kMetadataPadBytes = 3700;
 
 // ----- The baseline layout -----
 // One encoder per stored object kind. BaselineProvisioner and
@@ -28,7 +32,7 @@ BaselineRecord NewRecord(const BaselineOptions& opts,
   }
   if (opts.mode == SecurityMode::kPublic ||
       opts.mode == SecurityMode::kPubOpt) {
-    rec.signing_material = Bytes(opts.metadata_pad, 0x5A);
+    rec.signing_material = Bytes(kMetadataPadBytes, 0x5A);
   }
   return rec;
 }
@@ -100,14 +104,13 @@ std::vector<ssp::Request> FileBlockPuts(const BaselineOptions& opts,
                                         std::vector<Bytes>* plains) {
   core::DataDescriptor desc;
   desc.size = content.size();
-  desc.block_count =
-      core::ObjectCodec::BlockCount(content.size(), opts.block_size);
+  desc.block_count = core::ObjectCodec::BlockCount(content.size());
   // Baselines have no per-block AEAD tags; the zero root keeps the
   // descriptor wire shape shared with the SHAROES client.
   desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
   std::vector<ssp::Request> puts;
   for (uint32_t i = 0; i < desc.block_count; ++i) {
-    Bytes plain = core::ObjectCodec::BlockChunk(content, opts.block_size, i);
+    Bytes plain = core::ObjectCodec::BlockChunk(content, i);
     if (i == 0) {
       BinaryWriter w;
       desc.AppendTo(&w);

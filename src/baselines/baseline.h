@@ -18,12 +18,12 @@
 // directory tables are protected by the directory's DEK alone, and
 // permission checks are purely client-side.
 //
-// Baseline metadata objects are padded to a configurable size standing in
-// for the 2048-bit signing/freshness key material those systems store in
-// metadata (SiRiUS: file-sign + metadata-freshness key pairs). The pad
-// size drives the RSA block count, which is the dominant PUBLIC cost; the
-// default (3 KiB) matches the per-stat cost implied by the paper's
-// Figure 9 (see EXPERIMENTS.md).
+// Baseline metadata objects in the public-key modes carry a fixed
+// 3700-byte pad standing in for the 2048-bit signing/freshness key
+// material those systems store in metadata (SiRiUS: file-sign +
+// metadata-freshness key pairs). The pad size drives the RSA block count,
+// which is the dominant PUBLIC cost; 3700 bytes matches the per-stat cost
+// implied by the paper's Figure 9 (see EXPERIMENTS.md).
 
 #ifndef SHAROES_BASELINES_BASELINE_H_
 #define SHAROES_BASELINES_BASELINE_H_
@@ -64,10 +64,7 @@ struct BaselineRecord {
 struct BaselineOptions {
   SecurityMode mode = SecurityMode::kNoEncMdD;
   size_t cache_bytes = 64ull << 20;
-  size_t block_size = 4096;
   double client_overhead_ms = 5.0;
-  /// Size the serialized record is padded to in the encrypting modes.
-  size_t metadata_pad = 3700;
 };
 
 /// Provisions a baseline filesystem at the SSP (the migration-tool

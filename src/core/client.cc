@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/sharded_channel.h"
 #include "crypto/merkle.h"
 #include "fs/path.h"
 #include "obs/span.h"
@@ -69,7 +68,7 @@ SharoesClient::SharoesClient(fs::UserId uid,
       codec_(engine, identity, options.scheme),
       options_(options),
       cache_(options.cache_bytes),
-      neg_cache_(options.negative_dentry_bytes, nullptr, "client.dentry.neg"),
+      neg_cache_(kNegativeDentryBytes, nullptr, "client.dentry.neg"),
       rpc_trips_counter_(
           obs::MetricsRegistry::Global().counter("client.rpc.round_trips")),
       inode_counter_(engine->rng().NextU64() & 0xFFFFFFFFULL) {}
@@ -205,22 +204,6 @@ fs::InodeNum SharoesClient::AllocateInode() {
 
 Status SharoesClient::Mount() {
   OpScope span(this, "Mount");
-  if (conn_ == nullptr) {
-    // Cluster deployment: the channel comes from the config file, not
-    // the constructor. Built here (not in the constructor) because
-    // loading the config and dialing daemons can fail, and Mount is the
-    // client's canonical can-fail entry point.
-    if (options_.cluster.empty()) {
-      return Status::InvalidArgument(
-          "no SSP channel and no ClientOptions::cluster config");
-    }
-    ShardedChannelOptions sopts;
-    sopts.node_retry = options_.transport_retry;
-    sopts.timeouts = options_.transport_timeouts;
-    SHAROES_ASSIGN_OR_RETURN(owned_conn_,
-                             ShardedChannel::Open(options_.cluster, sopts));
-    conn_ = owned_conn_.get();
-  }
   principal_ = identity_->PrincipalOf(uid_);
   ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(
@@ -422,14 +405,13 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
                            fs::SplitPath(path));
   PlainRef ref = superblock_.root_ref;
   Node node;
-  bool neg_cache_on = options_.negative_dentry_bytes > 0;
   for (size_t i = 0;; ++i) {
     const bool last = i == comps.size();
     // A remembered negative dentry short-circuits after the permission
     // checks below — and also tells the coalesced fetch not to pay bytes
     // for a table it will not consult.
     bool neg = false;
-    if (!last && neg_cache_on) {
+    if (!last) {
       neg = neg_cache_.Get<bool>(NegDentryCacheKey(ref.inode, comps[i])) !=
             nullptr;
     }
@@ -464,10 +446,8 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
       case TableView::kFull: {
         auto it = table->refs.find(comp);
         if (it == table->refs.end()) {
-          if (neg_cache_on) {
-            std::string nkey = NegDentryCacheKey(ref.inode, comp);
-            neg_cache_.Put(nkey, true, nkey.size() + 1);
-          }
+          std::string nkey = NegDentryCacheKey(ref.inode, comp);
+          neg_cache_.Put(nkey, true, nkey.size() + 1);
           return Status::NotFound("no entry named '" + comp + "'");
         }
         row = it->second;
@@ -476,7 +456,7 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
       case TableView::kExecOnly: {
         auto looked = codec_.ExecOnlyLookup(*table, *node.view.dek, comp);
         if (!looked.ok()) {
-          if (neg_cache_on && looked.status().IsNotFound()) {
+          if (looked.status().IsNotFound()) {
             std::string nkey = NegDentryCacheKey(ref.inode, comp);
             neg_cache_.Put(nkey, true, nkey.size() + 1);
           }
@@ -554,7 +534,7 @@ Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
     pending_writes_.push_back(std::move(r));
   }
   if (pending_writes_.size() >= options_.write_batch_ops ||
-      pending_write_bytes_ >= options_.write_batch_bytes) {
+      pending_write_bytes_ >= kWriteBatchBytes) {
     return FlushPendingWrites();
   }
   return Status::OK();
@@ -995,9 +975,8 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
     key_rotated = true;
   }
   const Bytes& content = buf->content;
-  size_t block_size = options_.block_size;
   fs::InodeNum inode = buf->inode;
-  uint32_t block_count = ObjectCodec::BlockCount(content.size(), block_size);
+  uint32_t block_count = ObjectCodec::BlockCount(content.size());
   SHAROES_ASSIGN_OR_RETURN(uint64_t write_gen, NextWriteGen(inode));
 
   // The paper divides files into blocks precisely so a write does not
@@ -1024,15 +1003,14 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
       auto old_chunk = cache_.Get<Bytes>(DataCacheKey(inode, i));
       auto old_tag = cache_.Get<Bytes>(TagCacheKey(inode, i));
       if (old_chunk != nullptr && old_tag != nullptr &&
-          *old_chunk == ObjectCodec::BlockChunk(content, block_size, i)) {
+          *old_chunk == ObjectCodec::BlockChunk(content, i)) {
         kept[i] = ObjectCodec::KeptBlock{*old_tag, old_desc.GenOfBlock(i)};
       }
     }
   }
 
   ObjectCodec::FileBlockSet set = codec_.FileBlockPuts(
-      inode, content, block_size, {key_gen, write_gen}, dek, *node.view.dsk,
-      kept);
+      inode, content, {key_gen, write_gen}, dek, *node.view.dsk, kept);
   // Without a diff basis the stored shape may shrink: clear stale blocks
   // first. A diffed write only grows or keeps the block count.
   std::vector<ssp::Request> puts;
@@ -1046,7 +1024,7 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   for (uint32_t idx = 1; idx < block_count; ++idx) {
     if (kept.count(idx) != 0) continue;
     cache_.Put(DataCacheKey(inode, idx),
-               ObjectCodec::BlockChunk(content, block_size, idx),
+               ObjectCodec::BlockChunk(content, idx),
                set.puts[next_put++].payload.size());
     cache_.Put(TagCacheKey(inode, idx), set.tail_tags[idx - 1],
                set.tail_tags[idx - 1].size());
@@ -1166,8 +1144,8 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
       dek_next.reset();
       SHAROES_ASSIGN_OR_RETURN(uint64_t write_gen, NextWriteGen(attrs.inode));
       ObjectCodec::FileBlockSet set = codec_.FileBlockPuts(
-          attrs.inode, content, options_.block_size, {dek_gen, write_gen},
-          bundle.dek, bundle.data.sign);
+          attrs.inode, content, {dek_gen, write_gen}, bundle.dek,
+          bundle.data.sign);
       freshness_[attrs.inode] = FreshnessRecord{write_gen, set.desc.tag_root};
       batch.push_back(ssp::Request::DeleteRange(ssp::ObjectFamily::kData,
                                                 attrs.inode));

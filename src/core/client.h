@@ -21,8 +21,6 @@
 #include "core/cache.h"
 #include "core/fs_client.h"
 #include "core/object_codec.h"
-#include "core/retrying_connection.h"
-#include "net/tcp_stream.h"
 #include "obs/trace.h"
 #include "ssp/ssp_server.h"
 
@@ -38,7 +36,6 @@ struct ClientOptions {
   Scheme scheme = Scheme::kScheme2;
   RevocationMode revocation = RevocationMode::kImmediate;
   size_t cache_bytes = 64ull << 20;
-  size_t block_size = 4096;
   /// Group id attached to newly created objects.
   fs::GroupId default_group = fs::kInvalidGroup;
   /// Fixed per-operation client handling cost ("OTHER" in Figure 13).
@@ -57,50 +54,38 @@ struct ClientOptions {
   /// any single data batch, so one huge file cannot produce an unbounded
   /// SSP request.
   size_t readahead_blocks = 32;
-  /// Byte budget of the negative dentry cache: names a descent proved
-  /// absent, so repeated misses answer locally instead of re-paying the
-  /// table fetch. 0 disables. Invalidated by the same InvalidateInode /
-  /// table-rerender discipline as positive entries.
-  size_t negative_dentry_bytes = 64 << 10;
   /// Write-behind batching (DESIGN.md §12), the mutation-side mirror of
   /// batch_reads: the mutating sub-ops a logical op produces (path
   /// renders, metadata objects, 4 KiB data blocks) are staged
   /// client-side and shipped as one kBatch at the next flush point —
-  /// Close, Fsync(), this staged-sub-op threshold, write_batch_bytes,
-  /// or any read RPC (the read barrier that preserves read-your-writes).
-  /// 0 disables staging: every logical op pays its own round trips
-  /// immediately (the pre-batching wire shape, kept as the benchmark
-  /// comparator and the library default). With staging on, errors for a
-  /// staged op surface at its flush point, and sub-ops staged but never
-  /// flushed (client destroyed without Close/Fsync) are dropped — the
-  /// same contract as an OS page cache.
+  /// Close, Fsync(), this staged-sub-op threshold,
+  /// SharoesClient::kWriteBatchBytes of staged payload, or any read RPC
+  /// (the read barrier that preserves read-your-writes). 0 disables
+  /// staging: every logical op pays its own round trips immediately (the
+  /// pre-batching wire shape, kept as the benchmark comparator and the
+  /// library default). With staging on, errors for a staged op surface
+  /// at its flush point, and sub-ops staged but never flushed (client
+  /// destroyed without Close/Fsync) are dropped — the same contract as
+  /// an OS page cache.
   size_t write_batch_ops = 0;
-  /// Staged-payload byte bound that forces a flush regardless of
-  /// write_batch_ops (only meaningful with staging on), so a run of
-  /// large data blocks cannot grow one batch without limit.
-  size_t write_batch_bytes = 1 << 20;
-  /// Transport fault tolerance for real-socket deployments: callers that
-  /// reach the SSP over TCP build a RetryingConnection from these knobs
-  /// and arm the stream deadlines below (see tools/sharoes_cli.cc, which
-  /// maps its --retries/--*-timeout-ms flags here). The in-process
-  /// simulated channel never fails, so benchmarks ignore them.
-  RetryOptions transport_retry;
-  net::TcpTimeouts transport_timeouts;
-  /// Path of a cluster config file (ssp/placement.h). Non-empty makes
-  /// the client build and own a core::ShardedChannel over the listed
-  /// daemons at Mount() — consistent-hash routing, K-way replicated
-  /// quorum writes/reads, placement refresh on kWrongShard — instead of
-  /// using the single `conn` passed to the constructor (which may then
-  /// be null). transport_retry/transport_timeouts configure the
-  /// per-node connections; maps from `--cluster` in the tools.
-  std::string cluster;
 };
 
 class SharoesClient : public FsClient {
  public:
-  /// `engine`, `identity`, `conn` must outlive the client. `conn` may be
-  /// null when options.cluster names a cluster config — Mount() then
-  /// builds and owns a sharded channel over the configured daemons.
+  /// Byte budget of the negative dentry cache: names a descent proved
+  /// absent, so repeated misses answer locally instead of re-paying the
+  /// table fetch. Invalidated by the same InvalidateInode /
+  /// table-rerender discipline as positive entries.
+  static constexpr size_t kNegativeDentryBytes = 64 << 10;
+  /// Staged-payload bytes that force a write-behind flush regardless of
+  /// ClientOptions::write_batch_ops, so a run of large data blocks
+  /// cannot grow one batch without limit.
+  static constexpr size_t kWriteBatchBytes = 1 << 20;
+
+  /// `engine`, `identity`, `conn` must outlive the client; `conn` must
+  /// not be null. The caller picks the channel: an in-process
+  /// connection, a RetryingConnection to one daemon, or a
+  /// ShardedChannel over a cluster (tools/sharoes_cli.cc builds each).
   SharoesClient(fs::UserId uid, crypto::RsaPrivateKey user_private_key,
                 const IdentityDirectory* identity, ssp::SspChannel* conn,
                 crypto::CryptoEngine* engine, const ClientOptions& options);
@@ -317,9 +302,6 @@ class SharoesClient : public FsClient {
   crypto::RsaPrivateKey user_priv_;
   const IdentityDirectory* identity_;
   ssp::SspChannel* conn_;
-  /// The cluster channel Mount() builds when options_.cluster is set
-  /// (conn_ then points at it); null in single-daemon deployments.
-  std::unique_ptr<ssp::SspChannel> owned_conn_;
   crypto::CryptoEngine* engine_;
   ObjectCodec codec_;
   ClientOptions options_;

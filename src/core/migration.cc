@@ -168,8 +168,7 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
     // Migration is the file's first write: key generation 0, write
     // generation 1.
     ObjectCodec::FileBlockSet blocks = codec_.FileBlockPuts(
-        inode, spec.content, options_.block_size, {0, 1}, obj.bundle.dek,
-        obj.bundle.data.sign);
+        inode, spec.content, {0, 1}, obj.bundle.dek, obj.bundle.data.sign);
     stats->data_blocks += blocks.puts.size();
     SHAROES_RETURN_IF_ERROR(PutAll(std::move(blocks.puts), stats));
   }

@@ -88,7 +88,6 @@ class Provisioner {
     /// RSA modulus bits for user/group identity keys. 2048 in the paper;
     /// tests may shrink for speed (virtual costs are unaffected).
     size_t user_key_bits = 2048;
-    size_t block_size = 4096;
     /// Reject trees containing unsupported permission settings instead of
     /// degrading them.
     bool strict_modes = false;

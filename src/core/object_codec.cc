@@ -572,27 +572,26 @@ Result<std::vector<ssp::Request>> ObjectCodec::TableSetPuts(
   return puts;
 }
 
-uint32_t ObjectCodec::BlockCount(size_t size, size_t block_size) {
-  return size <= block_size
+uint32_t ObjectCodec::BlockCount(size_t size) {
+  return size <= kBlockSize
              ? 1
-             : static_cast<uint32_t>((size + block_size - 1) / block_size);
+             : static_cast<uint32_t>((size + kBlockSize - 1) / kBlockSize);
 }
 
-Bytes ObjectCodec::BlockChunk(const Bytes& content, size_t block_size,
-                              uint32_t block) {
-  size_t begin = std::min(content.size(), block * block_size);
-  size_t end = std::min(content.size(), begin + block_size);
+Bytes ObjectCodec::BlockChunk(const Bytes& content, uint32_t block) {
+  size_t begin = std::min(content.size(), block * kBlockSize);
+  size_t end = std::min(content.size(), begin + kBlockSize);
   return Bytes(content.begin() + begin, content.begin() + end);
 }
 
 ObjectCodec::FileBlockSet ObjectCodec::FileBlockPuts(
-    fs::InodeNum inode, const Bytes& content, size_t block_size,
-    const DataBlockHeader& header, const crypto::SymmetricKey& dek,
-    const crypto::SigningKey& dsk, const std::map<uint32_t, KeptBlock>& kept) {
+    fs::InodeNum inode, const Bytes& content, const DataBlockHeader& header,
+    const crypto::SymmetricKey& dek, const crypto::SigningKey& dsk,
+    const std::map<uint32_t, KeptBlock>& kept) {
   FileBlockSet set;
   DataDescriptor& desc = set.desc;
   desc.size = content.size();
-  desc.block_count = BlockCount(content.size(), block_size);
+  desc.block_count = BlockCount(content.size());
   desc.write_gen = header.write_gen;
   desc.block_gens.assign(desc.block_count, header.write_gen);
   set.tail_tags.resize(desc.block_count - 1);
@@ -607,13 +606,13 @@ ObjectCodec::FileBlockSet ObjectCodec::FileBlockPuts(
     tails.push_back(ssp::Request::Put(
         ssp::ObjectKey::Data(inode, idx),
         EncodeDataBlock(inode, idx, header,
-                        BlockChunk(content, block_size, idx), dek, dsk,
+                        BlockChunk(content, idx), dek, dsk,
                         &set.tail_tags[idx - 1])));
   }
   desc.tag_root = crypto::MerkleRoot(set.tail_tags);
   BinaryWriter w0;
   desc.AppendTo(&w0);
-  w0.PutRaw(BlockChunk(content, block_size, 0));
+  w0.PutRaw(BlockChunk(content, 0));
   set.plain0 = w0.Take();
   set.puts.push_back(ssp::Request::Put(
       ssp::ObjectKey::Data(inode, 0),

@@ -230,16 +230,18 @@ class ObjectCodec {
   /// seals last. Blocks in `kept` are not rewritten: their tag and
   /// generation go into the descriptor as given.
   FileBlockSet FileBlockPuts(fs::InodeNum inode, const Bytes& content,
-                             size_t block_size, const DataBlockHeader& header,
+                             const DataBlockHeader& header,
                              const crypto::SymmetricKey& dek,
                              const crypto::SigningKey& dsk,
                              const std::map<uint32_t, KeptBlock>& kept = {});
+  /// File content bytes per data block: the one block size of the stored
+  /// layout, shared by the provisioner, the client and the baselines.
+  static constexpr size_t kBlockSize = 4096;
   /// The number of blocks a file of `size` bytes occupies (at least one:
   /// block 0 carries the descriptor even for an empty file).
-  static uint32_t BlockCount(size_t size, size_t block_size);
+  static uint32_t BlockCount(size_t size);
   /// The slice of `content` that block `block` stores.
-  static Bytes BlockChunk(const Bytes& content, size_t block_size,
-                          uint32_t block);
+  static Bytes BlockChunk(const Bytes& content, uint32_t block);
 
   crypto::CryptoEngine* engine() { return engine_; }
   Scheme scheme() const { return scheme_; }

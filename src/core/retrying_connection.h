@@ -41,8 +41,8 @@
 
 namespace sharoes::core {
 
-/// Knobs for RetryingConnection (and the sharoes_cli flags that map onto
-/// them; see ClientOptions::transport_retry).
+/// Knobs for RetryingConnection (and the sharoes_cli --retries /
+/// --retry-*-ms flags that map onto them).
 struct RetryOptions {
   /// Total attempts per Call, including the first; 1 disables retry.
   int max_attempts = 8;

@@ -39,7 +39,7 @@ struct ClusterNode {
 
 /// The cluster membership + quorum parameters, serialized as a small
 /// line-based text file that `sharoes_sspd --cluster` and
-/// `ClientOptions::cluster` both load. Invariants (checked by
+/// `sharoes_cli --cluster` (through ShardedChannel::Open) both load. Invariants (checked by
 /// Validate): 1 <= W,R <= K <= nodes, and R + W > K when K > 1 — the
 /// quorum-intersection property that makes a read quorum overlap every
 /// acknowledged write quorum in at least one replica.

@@ -88,7 +88,6 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
     core::Provisioner::Options popts;
     popts.scheme = opts.scheme;
     popts.user_key_bits = opts.user_key_bits;
-    popts.block_size = opts.block_size;
     core::Provisioner prov(&identity_, &server_, admin_engine_.get(), popts);
     auto stats = prov.Migrate(root);
     assert(stats.ok());
@@ -96,7 +95,6 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
   } else {
     baselines::BaselineOptions bopts;
     bopts.mode = ModeFor(opts.variant);
-    bopts.block_size = opts.block_size;
     baselines::BaselineProvisioner prov(&identity_, &server_,
                                         admin_engine_.get(), bopts);
     Status s = prov.Migrate(root);
@@ -117,9 +115,7 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
     core::ClientOptions copts;
     copts.scheme = opts.scheme;
     copts.cache_bytes = opts.cache_bytes;
-    copts.block_size = opts.block_size;
     copts.batch_reads = opts.batch_reads;
-    copts.readahead_blocks = opts.readahead_blocks;
     copts.write_batch_ops = opts.write_batch_ops;
     auto client = std::make_unique<core::SharoesClient>(
         kBenchUser, bench_user_priv_, &identity_, conn_.get(), engine_.get(),
@@ -130,7 +126,6 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
     baselines::BaselineOptions bopts;
     bopts.mode = ModeFor(opts.variant);
     bopts.cache_bytes = opts.cache_bytes;
-    bopts.block_size = opts.block_size;
     auto client = std::make_unique<baselines::BaselineClient>(
         kBenchUser, bench_user_priv_, &identity_, conn_.get(), engine_.get(),
         bopts);

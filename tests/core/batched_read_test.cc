@@ -251,19 +251,6 @@ TEST(BatchedReadTest, NegativeDentryShortCircuitsRepeatMisses) {
   EXPECT_TRUE(alice.Getattr("/shared/later.txt").ok());
 }
 
-TEST(BatchedReadTest, NegativeDentryCacheCanBeDisabled) {
-  World::Options opts = BatchedOpts(true);
-  opts.negative_dentry_bytes = 0;
-  World world(opts);
-  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
-  auto& alice = world.client(kAlice);
-  EXPECT_TRUE(alice.Getattr("/shared/nope.txt").status().IsNotFound());
-  // Without the cache the repeat miss re-asks the SSP nothing — the
-  // *table* is still positively cached, so the lookup fails locally.
-  // The knob's contract is only that no negative entries are stored.
-  EXPECT_TRUE(alice.Getattr("/shared/nope.txt").status().IsNotFound());
-}
-
 TEST(BatchedReadTest, MultiGetValidatesSubOps) {
   World world(BatchedOpts(true));
   ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());

@@ -176,26 +176,33 @@ TEST(BatchedWriteTest, OpsThresholdBoundsTheStage) {
 
 TEST(BatchedWriteTest, ByteThresholdBoundsTheStage) {
   // Same property for the byte bound: staged payload bytes force a flush
-  // even when the sub-op count stays far below write_batch_ops.
-  World::Options opts = StagingOpts(1u << 20);
-  opts.write_batch_bytes = 2048;
-  World world(opts);
+  // even when the sub-op count stays far below write_batch_ops. Each
+  // create re-renders every table copy of the growing directory, so the
+  // loop stages more than SharoesClient::kWriteBatchBytes in total.
+  World world(StagingOpts(1u << 20));
   ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
   auto& alice = world.client(kAlice);
   CreateOptions fmode;
   fmode.mode = World::ParseMode("rw-rw----");
   ASSERT_TRUE(alice.Create("/shared/b0.txt", fmode).ok());
-  uint64_t warm = world.transport(kAlice).counters().round_trips;
-  for (int i = 1; i < 6; ++i) {
+  ASSERT_TRUE(alice.Fsync().ok());
+  const net::Transport::Counters warm = world.transport(kAlice).counters();
+  constexpr int kFiles = 100;
+  for (int i = 1; i < kFiles; ++i) {
     ASSERT_TRUE(
         alice.Create("/shared/b" + std::to_string(i) + ".txt", fmode).ok());
   }
-  EXPECT_GT(world.transport(kAlice).counters().round_trips, warm)
+  EXPECT_GT(world.transport(kAlice).counters().round_trips, warm.round_trips)
       << "the byte threshold never fired";
   ASSERT_TRUE(alice.Fsync().ok());
+  EXPECT_GT(world.transport(kAlice).counters().bytes_up - warm.bytes_up,
+            SharoesClient::kWriteBatchBytes)
+      << "the loop staged less than the byte bound";
   auto names = world.client(kBob).Readdir("/shared");
   ASSERT_TRUE(names.ok()) << names.status();
-  EXPECT_NE(std::find(names->begin(), names->end(), "b5.txt"), names->end());
+  EXPECT_NE(std::find(names->begin(), names->end(),
+                      "b" + std::to_string(kFiles - 1) + ".txt"),
+            names->end());
 }
 
 TEST(BatchedWriteTest, TransientFaultKeepsStagedWrites) {

@@ -23,18 +23,13 @@
 
 #include "ssp/object_store.h"
 #include "ssp/wal.h"
+#include "testing/scratch_dir.h"
 #include "util/random.h"
 
 namespace sharoes::ssp {
 namespace {
 
-std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "sharoes_walfuzz_" + tag + "_" +
-                    std::to_string(::getpid());
-  std::string cmd = "rm -rf " + dir;
-  EXPECT_EQ(std::system(cmd.c_str()), 0);
-  return dir;
-}
+using sharoes::testing::ScratchDir;
 
 Status WriteFile(const std::string& path, const Bytes& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -311,8 +306,8 @@ TEST(WalFuzz, GarbageSegmentsNeverCrash) {
 // --- Directory-level recovery (Wal::Open) ----------------------------
 
 TEST(WalFuzz, OpenRefusesTornTailInNonFinalSegment) {
-  std::string dir = FreshDir("chain_torn");
-  ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
+  ScratchDir scratch("walfuzz_chain_torn");
+  const std::string& dir = scratch.path();
   std::vector<Request> ops = CorpusOps();
   Bytes seg1 = BuildSegment(0, ops);
   seg1.resize(seg1.size() - 3);  // Torn — but a later segment exists.
@@ -328,8 +323,8 @@ TEST(WalFuzz, OpenRefusesTornTailInNonFinalSegment) {
 }
 
 TEST(WalFuzz, OpenRefusesSequenceGapBetweenSegments) {
-  std::string dir = FreshDir("chain_gap");
-  ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
+  ScratchDir scratch("walfuzz_chain_gap");
+  const std::string& dir = scratch.path();
   Bytes seg1 = BuildSegment(0, {Request::Put(ObjectKey::Metadata(1, 0), {1})});
   // Claims to start at 5, but recovery only reached 1: records 2-5 are
   // missing — refusing beats resurrecting a store with silent holes.
@@ -343,8 +338,8 @@ TEST(WalFuzz, OpenRefusesSequenceGapBetweenSegments) {
 }
 
 TEST(WalFuzz, OpenTruncatesTornFinalSegmentAndKeepsAppending) {
-  std::string dir = FreshDir("torn_continue");
-  ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
+  ScratchDir scratch("walfuzz_torn_continue");
+  const std::string& dir = scratch.path();
   std::vector<Request> ops = CorpusOps();
   Bytes seg = BuildSegment(0, ops);
   seg.resize(seg.size() - 5);  // Tear the last record.
@@ -377,7 +372,8 @@ TEST(WalFuzz, OpenRejectsCorruptSnapshot) {
   // Provision a real snapshot via compaction, then flip one byte of the
   // store image: the snapshot CRC must catch it and refuse recovery
   // rather than serve silently damaged objects.
-  std::string dir = FreshDir("snap_flip");
+  ScratchDir scratch("walfuzz_snap_flip");
+  const std::string& dir = scratch.path();
   {
     ObjectStore store;
     auto wal = Wal::Open(dir, WalOptions{}, &store);
@@ -437,15 +433,17 @@ TEST(WalFuzz, RefusesEarlierFormatVersions) {
     EXPECT_NE(replay.status().ToString().find("unsupported"),
               std::string::npos);
     EXPECT_EQ(store.Stats().object_count, 0u);
-    std::string dir = FreshDir("v" + std::to_string(old_version) + "_segment");
-    ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
+    ScratchDir scratch("walfuzz_v" + std::to_string(old_version) +
+                       "_segment");
+    const std::string& dir = scratch.path();
     ASSERT_TRUE(WriteFile(dir + "/wal-00000000000000000000.log", seg).ok());
     ExpectUnsupported(dir);
   }
   // Version-1 and version-2 snapshot headers.
   for (uint8_t old_version : {uint8_t{1}, uint8_t{2}}) {
-    std::string dir =
-        FreshDir("v" + std::to_string(old_version) + "_snapshot");
+    ScratchDir scratch("walfuzz_v" + std::to_string(old_version) +
+                       "_snapshot");
+    const std::string& dir = scratch.path();
     {
       ObjectStore store;
       auto wal = Wal::Open(dir, WalOptions{}, &store);
@@ -484,8 +482,8 @@ TEST(WalFuzz, RefusesEarlierFormatVersions) {
     w.PutU64(0);
     w.PutU32(WalCrc32(body.data(), body.size()));
     w.PutRaw(body);
-    std::string dir = FreshDir("image_" + std::to_string(image_magic));
-    ASSERT_EQ(::system(("mkdir -p " + dir).c_str()), 0);
+    ScratchDir scratch("walfuzz_image_" + std::to_string(image_magic));
+    const std::string& dir = scratch.path();
     ASSERT_TRUE(WriteFile(dir + "/snapshot", w.Take()).ok());
     ExpectUnsupported(dir);
   }

@@ -10,6 +10,7 @@
 #include "ssp/placement.h"
 #include "ssp/ssp_server.h"
 #include "ssp/wal.h"
+#include "testing/scratch_dir.h"
 #include "util/binary_io.h"
 
 namespace sharoes::ssp {
@@ -396,9 +397,8 @@ TEST(ObjectStoreVersionTest, UnstampedBumpReplaysWithoutChange) {
 }
 
 TEST(SspServerTest, PlacementArmedServerRejectsUnstampedMutations) {
-  const std::string dir = ::testing::TempDir() + "sharoes_unstamped_" +
-                          std::to_string(::getpid());
-  ASSERT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+  sharoes::testing::ScratchDir scratch("unstamped");
+  const std::string& dir = scratch.path();
   ClusterConfig config;
   config.replication = 1;
   config.write_quorum = 1;

@@ -32,9 +32,12 @@
 #include <vector>
 
 #include "ssp/placement.h"
+#include "testing/scratch_dir.h"
 
 namespace sharoes::ssp {
 namespace {
+
+using sharoes::testing::ScratchDir;
 
 constexpr auto kExitDeadline = std::chrono::seconds(10);
 
@@ -211,28 +214,8 @@ class Connection {
 /// stays up whatever the traffic.
 void Poke(uint16_t port) { Connection touch(port); }
 
-/// A fresh directory under the test temp dir, removed on scope exit
-/// (failed assertions included).
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag)
-      : path_(::testing::TempDir() + "sharoes_sspd_signal_" + tag + "_" +
-              std::to_string(::getpid())) {
-    std::string cmd = "rm -rf " + path_ + " && mkdir -p " + path_;
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
-  ~ScratchDir() {
-    int rc = std::system(("rm -rf " + path_).c_str());
-    (void)rc;
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 TEST(SspdSignalTest, SigtermOnAWorkerThreadStopsTheDaemon) {
-  ScratchDir scratch("single");
+  ScratchDir scratch("sspd_signal_single");
   const std::string& dir = scratch.path();
   Daemon daemon({"0", "--wal", dir + "/wal"}, dir + "/log");
   uint16_t port = daemon.WaitServing();
@@ -262,7 +245,7 @@ TEST(SspdSignalTest, ScrubbingClusterStopsOnSigterm) {
   // compacts each WAL. Every daemon gets SIGTERM on a non-main thread,
   // one after another, so the later ones are still scrubbing against
   // peers that are already gone.
-  ScratchDir scratch("cluster");
+  ScratchDir scratch("sspd_signal_cluster");
   const std::string& dir = scratch.path();
   ClusterConfig config;
   config.replication = 3;

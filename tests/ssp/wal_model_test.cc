@@ -23,19 +23,14 @@
 #include "ssp/object_store.h"
 #include "ssp/ssp_server.h"
 #include "ssp/wal.h"
+#include "testing/scratch_dir.h"
 #include "testing/stress.h"
 #include "util/random.h"
 
 namespace sharoes::ssp {
 namespace {
 
-std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "sharoes_walmodel_" + tag + "_" +
-                    std::to_string(::getpid());
-  std::string cmd = "rm -rf " + dir;
-  EXPECT_EQ(std::system(cmd.c_str()), 0);
-  return dir;
-}
+using sharoes::testing::ScratchDir;
 
 /// Freezes the live WAL directory the way a crash would: a plain file
 /// copy, no sync, no cooperation from the writer.
@@ -113,7 +108,8 @@ class WalModelTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WalModelTest, ReplayAfterEveryNOpsMatchesReference) {
   const uint64_t seed = GetParam();
-  std::string dir = FreshDir("seq" + std::to_string(seed));
+  ScratchDir scratch("walmodel_seq" + std::to_string(seed));
+  const std::string dir = scratch.path() + "/wal";
   SspServer server;
   auto wal = Wal::Open(dir, WalOptions{}, &server.store());
   ASSERT_TRUE(wal.ok()) << wal.status();
@@ -157,7 +153,8 @@ TEST(WalModelConcurrency, ConcurrentWritersRecoverToLiveState) {
   // live store reached. A tiny compaction threshold plus the interval
   // syncer keeps Compact(), Sync(), and Append() contending for the
   // whole run — the locking this test exists to put under TSan.
-  std::string dir = FreshDir("conc");
+  ScratchDir scratch("walmodel_conc");
+  const std::string dir = scratch.path() + "/wal";
   SspServer server;
   WalOptions opts;
   opts.sync = WalSyncPolicy::kInterval;
@@ -211,7 +208,8 @@ TEST(WalModelConcurrency, CompactRacesAppendsWithoutTearingTheCut) {
   // Hammer Compact() explicitly from a dedicated thread while writers
   // stream — the exclusive/shared gate handoff is the part a data race
   // would corrupt, and the per-round recovery equality would expose it.
-  std::string dir = FreshDir("cutrace");
+  ScratchDir scratch("walmodel_cutrace");
+  const std::string dir = scratch.path() + "/wal";
   SspServer server;
   WalOptions opts;
   opts.sync = WalSyncPolicy::kOff;

@@ -35,26 +35,20 @@
 #include "ssp/wal.h"
 #include "testing/andrew_client.h"
 #include "testing/restartable.h"
+#include "testing/scratch_dir.h"
 #include "util/random.h"
 
 namespace sharoes::ssp {
 namespace {
 
 using sharoes::testing::RestartableDaemon;
+using sharoes::testing::ScratchDir;
 
 int CrashRounds(int base) {
   if (const char* env = std::getenv("SHAROES_CRASH_ROUNDS")) {
     return base * std::max(1, std::atoi(env));
   }
   return base;
-}
-
-std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "sharoes_wal_" + tag + "_" +
-                    std::to_string(::getpid());
-  std::string cmd = "rm -rf " + dir;
-  EXPECT_EQ(std::system(cmd.c_str()), 0);
-  return dir;
 }
 
 /// Deterministic mutating op #idx: cycles through every loggable shape
@@ -189,8 +183,9 @@ TEST_P(WalRecoveryTest, NoAckedOpLostAcrossSeededSigkills) {
   wal_opts.sync = GetParam();
   wal_opts.interval_ms = 5;
   RestartableDaemon::Options opts;
-  opts.wal_dir = FreshDir(std::string("kill_") + WalSyncPolicyName(
-                              wal_opts.sync));
+  ScratchDir scratch(std::string("wal_kill_") +
+                     WalSyncPolicyName(wal_opts.sync));
+  opts.wal_dir = scratch.path();
   opts.wal = wal_opts;
   RestartableDaemon daemon(opts);
 
@@ -243,7 +238,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(WalRecovery, GracefulShutdownCompactsToSnapshot) {
   RestartableDaemon::Options opts;
-  opts.wal_dir = FreshDir("graceful");
+  ScratchDir scratch("wal_graceful");
+  opts.wal_dir = scratch.path();
   RestartableDaemon daemon(opts);
   daemon.Start();
   {
@@ -273,7 +269,8 @@ TEST(WalRecovery, SnapshotRecoveryKeepsTombstoneMode) {
   // after a graceful restart would erase instead of leaving the
   // versioned tombstone read repair and the scrubber rely on.
   RestartableDaemon::Options opts;
-  opts.wal_dir = FreshDir("tombstone_mode");
+  ScratchDir scratch("wal_tombstone_mode");
+  opts.wal_dir = scratch.path();
   opts.tombstones = true;
   RestartableDaemon daemon(opts);
   daemon.Start();
@@ -302,7 +299,8 @@ TEST(WalRecovery, CompactionUnderLoadSurvivesHardKills) {
   wal_opts.sync = WalSyncPolicy::kAlways;
   wal_opts.compact_threshold_bytes = 2048;
   RestartableDaemon::Options opts;
-  opts.wal_dir = FreshDir("compact_churn");
+  ScratchDir scratch("wal_compact_churn");
+  opts.wal_dir = scratch.path();
   opts.wal = wal_opts;
   RestartableDaemon daemon(opts);
 
@@ -390,15 +388,15 @@ TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
   };
 
   Bytes clean_transcript, clean_store;
-  run(FreshDir("andrew_clean"), /*churn=*/false, &clean_transcript,
-      &clean_store);
+  ScratchDir clean("wal_andrew_clean");
+  run(clean.path(), /*churn=*/false, &clean_transcript, &clean_store);
   ASSERT_FALSE(clean_transcript.empty());
 
   int rounds = CrashRounds(1);
   for (int round = 0; round < rounds; ++round) {
     Bytes churn_transcript, churn_store;
-    run(FreshDir("andrew_churn" + std::to_string(round)), /*churn=*/true,
-        &churn_transcript, &churn_store);
+    ScratchDir churn("wal_andrew_churn" + std::to_string(round));
+    run(churn.path(), /*churn=*/true, &churn_transcript, &churn_store);
     EXPECT_EQ(churn_transcript, clean_transcript) << "round " << round;
     EXPECT_EQ(churn_store, clean_store) << "round " << round;
   }
@@ -409,7 +407,8 @@ TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
 // appends, no fsyncs. Otherwise turning on readahead would multiply the
 // durability cost of a *read* workload.
 TEST(WalBatchCost, PureGetBatchIsWalNeutral) {
-  std::string dir = FreshDir("getbatch");
+  ScratchDir scratch("wal_getbatch");
+  const std::string& dir = scratch.path();
   SspServer server;
   WalOptions wal_opts;
   wal_opts.sync = WalSyncPolicy::kAlways;
@@ -439,7 +438,8 @@ TEST(WalBatchCost, PureGetBatchIsWalNeutral) {
 // A mixed batch logs each mutating sub-op but pays for durability once:
 // exactly one fsync per top-level request under sync=always.
 TEST(WalBatchCost, MixedBatchCostsExactlyOneFsync) {
-  std::string dir = FreshDir("mixedbatch");
+  ScratchDir scratch("wal_mixedbatch");
+  const std::string& dir = scratch.path();
   SspServer server;
   WalOptions wal_opts;
   wal_opts.sync = WalSyncPolicy::kAlways;
@@ -469,7 +469,8 @@ TEST(WalBatchCost, MixedBatchCostsExactlyOneFsync) {
 // return without touching the disk. A silent degradation to per-request
 // sync shows up as delta == K and fails loudly.
 TEST(WalBatchCost, ConcurrentCommitsShareOneFsync) {
-  std::string dir = FreshDir("groupcommit");
+  ScratchDir scratch("wal_groupcommit");
+  const std::string& dir = scratch.path();
   ObjectStore store;
   WalOptions wal_opts;
   wal_opts.sync = WalSyncPolicy::kAlways;
@@ -507,7 +508,8 @@ TEST(WalBatchCost, ConcurrentCommitsShareOneFsync) {
 // fsyncs-per-acked-op must stay strictly below 1, which is exactly the
 // property that distinguishes group commit from per-request durability.
 TEST(WalBatchCost, ConcurrentHandlesSyncSublinearly) {
-  std::string dir = FreshDir("groupcommit_e2e");
+  ScratchDir scratch("wal_groupcommit_e2e");
+  const std::string& dir = scratch.path();
   SspServer server;
   WalOptions wal_opts;
   wal_opts.sync = WalSyncPolicy::kAlways;
@@ -549,7 +551,8 @@ TEST(WalRecovery, GroupCommitConcurrentWritersSurviveSigkill) {
   wal_opts.sync = WalSyncPolicy::kAlways;
   wal_opts.group_commit_us = 1000;
   RestartableDaemon::Options opts;
-  opts.wal_dir = FreshDir("groupcommit_kill");
+  ScratchDir scratch("wal_groupcommit_kill");
+  opts.wal_dir = scratch.path();
   opts.wal = wal_opts;
   RestartableDaemon daemon(opts);
 

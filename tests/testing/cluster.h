@@ -28,6 +28,7 @@
 #include "ssp/tcp_service.h"
 #include "testing/andrew_client.h"
 #include "testing/restartable.h"
+#include "testing/scratch_dir.h"
 
 namespace sharoes::testing {
 
@@ -51,15 +52,10 @@ class TestCluster {
     std::string tag = "cluster";
   };
 
-  explicit TestCluster(Options opts) : opts_(std::move(opts)) {
-    base_dir_ = ::testing::TempDir() + "sharoes_" + opts_.tag + "_" +
-                std::to_string(::getpid());
-    std::string cmd = "rm -rf " + base_dir_;
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-    cmd = "mkdir -p " + base_dir_;
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
+  explicit TestCluster(Options opts)
+      : opts_(std::move(opts)), base_dir_(opts_.tag) {}
 
+  /// Kills every daemon; base_dir_ then removes their WAL directories.
   ~TestCluster() {
     for (auto& d : daemons_) d->Kill();
   }
@@ -72,7 +68,7 @@ class TestCluster {
     for (int i = 0; i < opts_.nodes; ++i) {
       RestartableDaemon::Options dopts;
       if (opts_.wal) {
-        dopts.wal_dir = base_dir_ + "/wal" + std::to_string(i);
+        dopts.wal_dir = base_dir_.path() + "/wal" + std::to_string(i);
       }
       dopts.tombstones = opts_.tombstones;
       daemons_.push_back(std::make_unique<RestartableDaemon>(dopts));
@@ -149,7 +145,7 @@ class TestCluster {
 
  private:
   Options opts_;
-  std::string base_dir_;
+  ScratchDir base_dir_;
   std::vector<std::unique_ptr<RestartableDaemon>> daemons_;
   std::unique_ptr<ssp::PlacementRing> ring_;
 };

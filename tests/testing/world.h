@@ -26,22 +26,12 @@ constexpr fs::GroupId kSales = 501; // carol
 /// A complete functional-test world.
 class World {
  public:
-  struct Options {
-    core::Scheme scheme = core::Scheme::kScheme2;
-    core::RevocationMode revocation = core::RevocationMode::kImmediate;
-    size_t cache_bytes = 64ull << 20;
+  /// Every mounted client's options (Mount() sets default_group per
+  /// user; `scheme` also configures the provisioner), plus the world's.
+  struct Options : core::ClientOptions {
     size_t user_key_bits = 512;   // Small keys: fast tests, same logic.
     size_t signing_key_bits = 512;
     uint64_t seed = 0x5EED;
-    // Batched-read knobs, passed straight into ClientOptions so tests can
-    // pit the batched and per-block wire behaviours against each other.
-    bool batch_reads = true;
-    size_t readahead_blocks = 32;
-    size_t negative_dentry_bytes = 64 << 10;
-    // Write-behind knobs (ops=0 = immediate per-op round trips, the
-    // default; bytes bounds the staged payload between flushes).
-    size_t write_batch_ops = 0;
-    size_t write_batch_bytes = 1 << 20;
   };
 
   World() : World(Options()) {}
@@ -96,15 +86,7 @@ class World {
         &clock_, net::NetworkModel::Zero());
     conns_[uid] = std::make_unique<ssp::SspConnection>(
         &server_, transports_[uid].get());
-    core::ClientOptions copts;
-    copts.scheme = opts_.scheme;
-    copts.revocation = opts_.revocation;
-    copts.cache_bytes = opts_.cache_bytes;
-    copts.batch_reads = opts_.batch_reads;
-    copts.readahead_blocks = opts_.readahead_blocks;
-    copts.negative_dentry_bytes = opts_.negative_dentry_bytes;
-    copts.write_batch_ops = opts_.write_batch_ops;
-    copts.write_batch_bytes = opts_.write_batch_bytes;
+    core::ClientOptions copts = opts_;
     copts.default_group = DefaultGroupOf(uid);
     clients_[uid] = std::make_unique<core::SharoesClient>(
         uid, user_keys_.at(uid), &identity_, conns_[uid].get(),

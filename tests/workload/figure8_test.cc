@@ -10,6 +10,10 @@
 //   read    : data recv                     + 1 data decrypt
 //   write   : local cache only              (no network, no crypto)
 //   close   : data send                     + data encrypt
+//
+// Every pin holds on both read paths: the batched one that clients run by
+// default (ClientOptions::batch_reads) and the one-object-per-round-trip
+// one that the paper figures run (BenchWorldOptions::batch_reads).
 
 #include <gtest/gtest.h>
 
@@ -18,12 +22,13 @@
 namespace sharoes::workload {
 namespace {
 
-class Figure8Test : public ::testing::Test {
+class Figure8Test : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     BenchWorldOptions opts;
     opts.variant = SystemVariant::kSharoes;
     opts.user_key_bits = 512;
+    opts.batch_reads = GetParam();
     world_ = std::make_unique<BenchWorld>(opts);
     fs_ = &world_->client();
     // Warm the path prefix and the parent's master table.
@@ -55,7 +60,7 @@ class Figure8Test : public ::testing::Test {
   core::FsClient* fs_ = nullptr;
 };
 
-TEST_F(Figure8Test, GetattrIsOneRecvOneDecrypt) {
+TEST_P(Figure8Test, GetattrIsOneRecvOneDecrypt) {
   ASSERT_TRUE(Sharoes()->EvictPath("/work/seed.txt").ok());
   OpCounters c = Count([&] {
     ASSERT_TRUE(fs_->Getattr("/work/seed.txt").ok());
@@ -67,7 +72,7 @@ TEST_F(Figure8Test, GetattrIsOneRecvOneDecrypt) {
   EXPECT_EQ(c.crypto.pk_decrypt_blocks, 0u);  // No public-key crypto!
 }
 
-TEST_F(Figure8Test, WarmGetattrIsFree) {
+TEST_P(Figure8Test, WarmGetattrIsFree) {
   ASSERT_TRUE(fs_->Getattr("/work/seed.txt").ok());
   OpCounters c = Count([&] {
     ASSERT_TRUE(fs_->Getattr("/work/seed.txt").ok());
@@ -75,7 +80,7 @@ TEST_F(Figure8Test, WarmGetattrIsFree) {
   EXPECT_EQ(c.round_trips, 0u);
 }
 
-TEST_F(Figure8Test, MkdirIsTwoSends) {
+TEST_P(Figure8Test, MkdirIsTwoSends) {
   core::CreateOptions opts;
   opts.mode = fs::Mode::FromOctal(0755);
   OpCounters c = Count([&] {
@@ -90,7 +95,7 @@ TEST_F(Figure8Test, MkdirIsTwoSends) {
   EXPECT_EQ(c.crypto.pk_encrypt_blocks, 0u);
 }
 
-TEST_F(Figure8Test, MknodIsTwoSends) {
+TEST_P(Figure8Test, MknodIsTwoSends) {
   core::CreateOptions opts;
   OpCounters c = Count([&] {
     ASSERT_TRUE(fs_->Create("/work/new.txt", opts).ok());
@@ -98,7 +103,7 @@ TEST_F(Figure8Test, MknodIsTwoSends) {
   EXPECT_EQ(c.round_trips, 2u);
 }
 
-TEST_F(Figure8Test, ChmodIsOneSend) {
+TEST_P(Figure8Test, ChmodIsOneSend) {
   OpCounters c = Count([&] {
     // No revocation (040 -> 044 grants, does not revoke read).
     ASSERT_TRUE(
@@ -109,7 +114,7 @@ TEST_F(Figure8Test, ChmodIsOneSend) {
   EXPECT_EQ(c.crypto.pk_encrypt_blocks, 0u);
 }
 
-TEST_F(Figure8Test, ReadIsOneRecvOneDecrypt) {
+TEST_P(Figure8Test, ReadIsOneRecvOneDecrypt) {
   ASSERT_TRUE(Sharoes()->EvictPath("/work/seed.txt").ok());
   // Re-warm the metadata so only the data path is measured.
   ASSERT_TRUE(fs_->Getattr("/work/seed.txt").ok());
@@ -122,7 +127,7 @@ TEST_F(Figure8Test, ReadIsOneRecvOneDecrypt) {
   EXPECT_EQ(c.crypto.verify, 1u);
 }
 
-TEST_F(Figure8Test, WriteIsLocalOnly) {
+TEST_P(Figure8Test, WriteIsLocalOnly) {
   OpCounters c = Count([&] {
     ASSERT_TRUE(fs_->Write("/work/seed.txt", ToBytes("v2")).ok());
   });
@@ -132,7 +137,7 @@ TEST_F(Figure8Test, WriteIsLocalOnly) {
   EXPECT_EQ(c.crypto.sign, 0u);
 }
 
-TEST_F(Figure8Test, CloseIsOneSendOneEncrypt) {
+TEST_P(Figure8Test, CloseIsOneSendOneEncrypt) {
   ASSERT_TRUE(fs_->Write("/work/seed.txt", ToBytes("v2")).ok());
   OpCounters c = Count([&] {
     ASSERT_TRUE(fs_->Close("/work/seed.txt").ok());
@@ -142,7 +147,7 @@ TEST_F(Figure8Test, CloseIsOneSendOneEncrypt) {
   EXPECT_EQ(c.crypto.sign, 1u);
 }
 
-TEST_F(Figure8Test, MountIsOnePrivateKeyOp) {
+TEST_P(Figure8Test, MountIsOnePrivateKeyOp) {
   // Remount: the only public-key operation in steady state is opening
   // the user's superblock (paper §III-C).
   OpCounters c = Count([&] {
@@ -153,7 +158,7 @@ TEST_F(Figure8Test, MountIsOnePrivateKeyOp) {
   EXPECT_LE(c.crypto.pk_decrypt_blocks, 8u);  // A handful of RSA blocks.
 }
 
-TEST_F(Figure8Test, UnlinkIsOneSend) {
+TEST_P(Figure8Test, UnlinkIsOneSend) {
   core::CreateOptions opts;
   ASSERT_TRUE(fs_->Create("/work/doomed", opts).ok());
   OpCounters c = Count([&] {
@@ -162,6 +167,11 @@ TEST_F(Figure8Test, UnlinkIsOneSend) {
   // Parent tables + deletions go in one batch.
   EXPECT_EQ(c.round_trips, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(ReadPaths, Figure8Test, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Batched" : "OneGetPerTrip";
+                         });
 
 }  // namespace
 }  // namespace sharoes::workload

@@ -16,10 +16,13 @@ namespace sharoes::workload {
 namespace {
 
 // Small worlds keep these tests quick; virtual costs still accumulate.
-BenchWorldOptions SmallWorld(SystemVariant v) {
+// SHAROES worlds take the client's default batched read path unless a
+// test asks for the one-object-per-round-trip path the paper figures run.
+BenchWorldOptions SmallWorld(SystemVariant v, bool batch_reads = true) {
   BenchWorldOptions o;
   o.variant = v;
   o.user_key_bits = 512;
+  o.batch_reads = batch_reads;
   return o;
 }
 
@@ -55,8 +58,12 @@ TEST(TreeGenTest, SourceTreeShape) {
 }
 
 TEST(HarnessTest, AllVariantsMountAndOperate) {
-  for (SystemVariant v : AllVariants()) {
-    BenchWorld world(SmallWorld(v));
+  std::vector<BenchWorldOptions> worlds;
+  for (SystemVariant v : AllVariants()) worlds.push_back(SmallWorld(v));
+  worlds.push_back(SmallWorld(SystemVariant::kSharoes, false));
+  for (const BenchWorldOptions& o : worlds) {
+    SystemVariant v = o.variant;
+    BenchWorld world(o);
     core::CreateOptions opts;
     Status s = world.client().Create("/work/t.txt", opts);
     ASSERT_TRUE(s.ok()) << VariantName(v) << ": " << s;
@@ -83,17 +90,20 @@ TEST(HarnessTest, MeasureAndResetSemantics) {
 }
 
 TEST(CreateListTest, CountsAndCosts) {
-  BenchWorld world(SmallWorld(SystemVariant::kSharoes));
-  CreateListParams params;
-  params.dirs = 3;
-  params.files_per_dir = 4;
-  CreateListResult r = RunCreateList(world, params);
-  EXPECT_EQ(r.files_created, 12);
-  EXPECT_EQ(r.objects_stated, 3 + 12);
-  EXPECT_GT(r.create.total_ns, 0u);
-  EXPECT_GT(r.list.total_ns, 0u);
-  // The list phase of an encrypted filesystem must spend crypto time.
-  EXPECT_GT(r.list.crypto_ns(), 0u);
+  for (bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "one get per round trip");
+    BenchWorld world(SmallWorld(SystemVariant::kSharoes, batched));
+    CreateListParams params;
+    params.dirs = 3;
+    params.files_per_dir = 4;
+    CreateListResult r = RunCreateList(world, params);
+    EXPECT_EQ(r.files_created, 12);
+    EXPECT_EQ(r.objects_stated, 3 + 12);
+    EXPECT_GT(r.create.total_ns, 0u);
+    EXPECT_GT(r.list.total_ns, 0u);
+    // The list phase of an encrypted filesystem must spend crypto time.
+    EXPECT_GT(r.list.crypto_ns(), 0u);
+  }
 }
 
 TEST(CreateListTest, ListCheaperThanCreateForPlainBaseline) {
@@ -108,16 +118,19 @@ TEST(CreateListTest, ListCheaperThanCreateForPlainBaseline) {
 }
 
 TEST(PostmarkTest, RunsAndCountsTransactions) {
-  BenchWorld world(SmallWorld(SystemVariant::kSharoes));
-  PostmarkParams params;
-  params.files = 12;
-  params.transactions = 20;
-  params.subdirs = 3;
-  PostmarkResult r = RunPostmark(world, params, 0.5);
-  EXPECT_EQ(r.reads + r.appends, 20);
-  EXPECT_EQ(r.creates + r.deletes, 20);
-  EXPECT_GT(r.data_bytes, 12 * params.min_size);
-  EXPECT_GT(r.transactions.total_ns, 0u);
+  for (bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "one get per round trip");
+    BenchWorld world(SmallWorld(SystemVariant::kSharoes, batched));
+    PostmarkParams params;
+    params.files = 12;
+    params.transactions = 20;
+    params.subdirs = 3;
+    PostmarkResult r = RunPostmark(world, params, 0.5);
+    EXPECT_EQ(r.reads + r.appends, 20);
+    EXPECT_EQ(r.creates + r.deletes, 20);
+    EXPECT_GT(r.data_bytes, 12 * params.min_size);
+    EXPECT_GT(r.transactions.total_ns, 0u);
+  }
 }
 
 TEST(PostmarkTest, LargerCacheIsFaster) {
@@ -125,25 +138,31 @@ TEST(PostmarkTest, LargerCacheIsFaster) {
   params.files = 20;
   params.transactions = 30;
   params.subdirs = 3;
-  BenchWorld cold(SmallWorld(SystemVariant::kSharoes));
-  PostmarkResult r_cold = RunPostmark(cold, params, 0.0);
-  BenchWorld warm(SmallWorld(SystemVariant::kSharoes));
-  PostmarkResult r_warm = RunPostmark(warm, params, 1.0);
-  EXPECT_GT(r_cold.transactions.total_ns, r_warm.transactions.total_ns);
+  for (bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "one get per round trip");
+    BenchWorld cold(SmallWorld(SystemVariant::kSharoes, batched));
+    PostmarkResult r_cold = RunPostmark(cold, params, 0.0);
+    BenchWorld warm(SmallWorld(SystemVariant::kSharoes, batched));
+    PostmarkResult r_warm = RunPostmark(warm, params, 1.0);
+    EXPECT_GT(r_cold.transactions.total_ns, r_warm.transactions.total_ns);
+  }
 }
 
 TEST(AndrewTest, PhasesRunAndDecompose) {
-  BenchWorld world(SmallWorld(SystemVariant::kSharoes));
-  AndrewParams params;
-  params.source.dirs = 4;
-  params.source.files = 8;
-  AndrewResult r = RunAndrew(world, params);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_GT(r.phase[i].total_ns, 0u) << "phase " << i + 1;
+  for (bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "one get per round trip");
+    BenchWorld world(SmallWorld(SystemVariant::kSharoes, batched));
+    AndrewParams params;
+    params.source.dirs = 4;
+    params.source.files = 8;
+    AndrewResult r = RunAndrew(world, params);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_GT(r.phase[i].total_ns, 0u) << "phase " << i + 1;
+    }
+    // Phase 5 carries the compile CPU charge in OTHER.
+    EXPECT_GT(r.phase[4].other_ns(), r.phase[2].other_ns());
+    EXPECT_GT(r.Total().total_ns, r.phase[0].total_ns);
   }
-  // Phase 5 carries the compile CPU charge in OTHER.
-  EXPECT_GT(r.phase[4].other_ns(), r.phase[2].other_ns());
-  EXPECT_GT(r.Total().total_ns, r.phase[0].total_ns);
 }
 
 TEST(OpCostsTest, ProbesReturnAllOps) {

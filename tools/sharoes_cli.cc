@@ -204,13 +204,8 @@ std::unique_ptr<core::RetryingConnection> MakeConnection(
   return std::make_unique<core::RetryingConnection>(std::move(factory), retry);
 }
 
-/// The channel every command talks through: with --cluster, a sharded
-/// quorum channel over the configured daemon fleet; otherwise the
-/// single-daemon retrying connection.
-std::unique_ptr<ssp::SspChannel> MakeChannel(const Args& args) {
-  if (args.cluster.empty()) {
-    return MakeConnection(args.host, args.port, args.timeouts, args.retry);
-  }
+/// The sharded quorum channel over the --cluster daemon fleet.
+std::unique_ptr<core::ShardedChannel> OpenCluster(const Args& args) {
   core::ShardedChannelOptions sopts;
   sopts.node_retry = args.retry;
   sopts.timeouts = args.timeouts;
@@ -219,14 +214,23 @@ std::unique_ptr<ssp::SspChannel> MakeChannel(const Args& args) {
   return std::move(*channel);
 }
 
+/// The channel every command talks through: with --cluster, a sharded
+/// quorum channel over the configured daemon fleet; otherwise the
+/// single-daemon retrying connection.
+std::unique_ptr<ssp::SspChannel> MakeChannel(const Args& args) {
+  if (args.cluster.empty()) {
+    return MakeConnection(args.host, args.port, args.timeouts, args.retry);
+  }
+  return OpenCluster(args);
+}
+
 void Provision(const Args& args) {
   SimClock clock;
   crypto::CryptoEngineOptions eng_opts;
   crypto::CryptoEngine engine(&clock, eng_opts);
   core::IdentityDirectory identity;
-  core::Provisioner::Options popts;
-  popts.user_key_bits = 1024;
-  core::Provisioner prov(&identity, /*server=*/nullptr, &engine, popts);
+  core::Provisioner prov(&identity, /*server=*/nullptr, &engine,
+                         core::Provisioner::Options());
   // Probe once without retry for a crisp diagnosis, then provision
   // through the fault-tolerant channel. (Cluster mode skips the probe:
   // quorum provisioning tolerates a minority of daemons being down.)
@@ -279,13 +283,8 @@ int RunAdmin(const Args& args, const ssp::Request& req, const char* what) {
     if (args.cluster.empty()) {
       Die("--node needs --cluster (a lone daemon has only itself)");
     }
-    core::ShardedChannelOptions sopts;
-    sopts.node_retry = args.retry;
-    sopts.timeouts = args.timeouts;
-    auto channel = core::ShardedChannel::Open(args.cluster, sopts);
-    if (!channel.ok()) Die("cluster config: " + channel.status().ToString());
-    resp = (*channel)->CallOnNode(static_cast<uint32_t>(args.admin_node),
-                                  req);
+    resp = OpenCluster(args)->CallOnNode(
+        static_cast<uint32_t>(args.admin_node), req);
   } else {
     auto channel = MakeChannel(args);
     resp = channel->Call(req);
@@ -335,21 +334,12 @@ int RunCommand(const Args& args) {
   crypto::CryptoEngine engine(&clock, eng_opts);
   core::ClientOptions copts;
   copts.default_group = kStaffGid;
-  copts.transport_retry = args.retry;
-  copts.transport_timeouts = args.timeouts;
   copts.batch_reads = args.readahead_blocks > 0;
   if (args.readahead_blocks > 0) {
     copts.readahead_blocks = args.readahead_blocks;
   }
   copts.write_batch_ops = args.write_batch;
-  // Cluster mode exercises the library path: the client builds and owns
-  // its sharded channel from ClientOptions::cluster at Mount().
-  copts.cluster = args.cluster;
-  std::unique_ptr<ssp::SspChannel> channel;
-  if (args.cluster.empty()) {
-    channel = MakeConnection(args.host, args.port, copts.transport_timeouts,
-                             copts.transport_retry);
-  }
+  std::unique_ptr<ssp::SspChannel> channel = MakeChannel(args);
   core::SharoesClient client(uid, *priv, &*identity, channel.get(), &engine,
                              copts);
   CheckOk(client.Mount());
